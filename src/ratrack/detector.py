@@ -8,10 +8,14 @@ angle axes are clustered afterwards by DBSCAN.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import ConfigError, StreamError
 from .receiver import RaTensor
@@ -149,8 +153,12 @@ class DbscanConfig:
     rx_scale: float = 2.0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ConfigError("eps must be > 0")
+        for name in ("eps", "range_scale", "tx_scale", "rx_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{name} must be finite and > 0, got {value}"
+                )
         if self.min_pts < 1:
             raise ConfigError("min_pts must be >= 1")
 
@@ -160,10 +168,14 @@ def dbscan(
 ) -> tuple[list[list[int]], list[int]]:
     """DBSCAN over scaled tensor indices.
 
-    Returns (clusters as lists of indices into dets, noise indices).
-    Points are processed in ascending index order, so labeling is
-    deterministic; border points join the first core cluster that
-    reaches them.
+    Returns (clusters as lists of indices into dets, noise indices),
+    each in ascending index order.  Neighbour pairs come from a KD-tree
+    query, so cost is O(n log n + pairs) and memory O(n + pairs).
+    Clusters are the connected components of the core-point graph,
+    numbered by their lowest-index core point; a border point joins
+    the lowest-numbered cluster among its core neighbours.  That is
+    the labeling of a breadth-first DBSCAN that grows one cluster at a
+    time from seeds taken in ascending index order.
     """
     n = len(dets)
     if n == 0:
@@ -178,31 +190,40 @@ def dbscan(
             for d in dets
         ]
     )
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    neighbors = [np.nonzero(row <= cfg.eps**2)[0] for row in d2]
-    is_core = np.array([len(nb) >= cfg.min_pts for nb in neighbors])
+    # the tree's radius has a hair of slack; the exact squared-distance
+    # test decides pairs that sit on the eps boundary
+    pairs = cKDTree(pts).query_pairs(
+        cfg.eps * (1 + 1e-9), output_type="ndarray"
+    )
+    d2 = np.sum((pts[pairs[:, 0]] - pts[pairs[:, 1]]) ** 2, axis=-1)
+    i, j = pairs[d2 <= cfg.eps**2].T
+    # every point is its own neighbour
+    n_nbrs = np.bincount(np.concatenate([i, j]), minlength=n) + 1
+    is_core = n_nbrs >= cfg.min_pts
 
-    labels = np.full(n, -1)
-    cluster_id = 0
-    for p in range(n):
-        if labels[p] != -1 or not is_core[p]:
-            continue
-        # grow a new cluster from this core point
-        labels[p] = cluster_id
-        frontier = deque(neighbors[p])
-        while frontier:
-            q = frontier.popleft()
-            if labels[q] != -1:
-                continue
-            labels[q] = cluster_id
-            if is_core[q]:
-                frontier.extend(neighbors[q])
-        cluster_id += 1
+    both = is_core[i] & is_core[j]
+    graph = coo_matrix(
+        (np.ones(int(both.sum())), (i[both], j[both])), shape=(n, n)
+    )
+    n_comp, comp = connected_components(graph, directed=False)
+    core_idx = np.flatnonzero(is_core)
+    _, first = np.unique(comp[core_idx], return_index=True)
+    n_clusters = len(first)
+    # non-core points are singleton components and keep label -1
+    cluster_of_comp = np.full(n_comp, -1)
+    cluster_of_comp[comp[core_idx[np.sort(first)]]] = np.arange(n_clusters)
+    labels = cluster_of_comp[comp]
 
-    clusters = [
-        [i for i in range(n) if labels[i] == c] for c in range(cluster_id)
-    ]
-    noise = [i for i in range(n) if labels[i] == -1]
+    # a border point joins the lowest cluster id among its core neighbours
+    border = np.full(n, n_clusters)
+    for core, other in ((i, j), (j, i)):
+        sel = is_core[core] & ~is_core[other]
+        np.minimum.at(border, other[sel], labels[core[sel]])
+    labels = np.where(border < n_clusters, border, labels)
+
+    order = np.argsort(labels, kind="stable")
+    cuts = np.searchsorted(labels[order], np.arange(n_clusters))
+    noise, *clusters = (g.tolist() for g in np.split(order, cuts))
     return clusters, noise
 
 

@@ -275,8 +275,11 @@ class Tracker:
         for t in dead:
             t.status = TrackStatus.DEAD
 
+        # a measurement at range 0 has no bearing: it may update a
+        # track but never starts one at the singular origin
         for mi in un_meas:
-            self.tracks.append(self._spawn(measurements[mi], t_s))
+            if measurements[mi][0] != 0.0:
+                self.tracks.append(self._spawn(measurements[mi], t_s))
 
         out = [t.snapshot() for t in self.tracks]
         out.extend(t.snapshot() for t in dead)

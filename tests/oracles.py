@@ -1,6 +1,7 @@
 """Independent brute-force references used by the test suite only."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 
@@ -56,6 +57,55 @@ def reference_dbscan(points: np.ndarray, eps: float, min_pts: int):
         if i not in core_set and not (nbrs[i] & core_set)
     }
     return core_labels, len(roots), noise
+
+
+def bfs_dbscan(dets, cfg):
+    """Breadth-first DBSCAN on a dense n x n distance matrix.
+
+    Same contract as ratrack.dbscan: points are seeded in ascending
+    index order, each cluster grows to completion before the next one
+    starts, and a border point joins the first cluster that reaches
+    it.  Memory is O(n^2); keep n small.
+    """
+    n = len(dets)
+    if n == 0:
+        return [], []
+    pts = np.array(
+        [
+            (
+                d.range_idx * cfg.range_scale,
+                d.tx_idx * cfg.tx_scale,
+                d.rx_idx * cfg.rx_scale,
+            )
+            for d in dets
+        ]
+    )
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    neighbors = [np.nonzero(row <= cfg.eps**2)[0] for row in d2]
+    is_core = np.array([len(nb) >= cfg.min_pts for nb in neighbors])
+
+    labels = np.full(n, -1)
+    cluster_id = 0
+    for p in range(n):
+        if labels[p] != -1 or not is_core[p]:
+            continue
+        # grow a new cluster from this core point
+        labels[p] = cluster_id
+        frontier = deque(neighbors[p])
+        while frontier:
+            q = frontier.popleft()
+            if labels[q] != -1:
+                continue
+            labels[q] = cluster_id
+            if is_core[q]:
+                frontier.extend(neighbors[q])
+        cluster_id += 1
+
+    clusters = [
+        [i for i in range(n) if labels[i] == c] for c in range(cluster_id)
+    ]
+    noise = [i for i in range(n) if labels[i] == -1]
+    return clusters, noise
 
 
 def finite_difference_jacobian(fn, x: np.ndarray, step: float = 1e-6):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from ratrack import (
 from ratrack.detector import make_cluster
 from ratrack.receiver import RaTensor
 
-from oracles import reference_dbscan
+from oracles import bfs_dbscan, reference_dbscan
 
 
 def make_tensor(power, bin_size_m=0.3049):
@@ -275,6 +277,87 @@ def test_dbscan_matches_reference(seed):
         got = mine[i]
         assert mapping.setdefault(ref_label, got) == got
     assert set(noise) == ref_noise
+
+
+# configs for the BFS equivalence check.  On the integer grid of the
+# default scales, offsets (3, 0, 0) and (1, 1, 1) sit at exactly eps
+# (d^2 = 9).  A border point can reach two clusters only if
+# min_pts >= 4.
+EQUIV_CONFIGS = {
+    "default": DbscanConfig(),
+    "min_pts_1": DbscanConfig(min_pts=1),
+    "min_pts_6": DbscanConfig(min_pts=6),
+    "non_integer": DbscanConfig(
+        eps=2.5, min_pts=4, range_scale=0.7, tx_scale=1.3, rx_scale=2.1
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 40, 150, 320, 500])
+@pytest.mark.parametrize("name", sorted(EQUIV_CONFIGS))
+def test_dbscan_identical_to_bfs(name, n):
+    cfg = EQUIV_CONFIGS[name]
+    rng = np.random.default_rng(n)
+    # at this density core, border and noise points are all common,
+    # and some border points are reached by two clusters
+    m = n - n // 8
+    cells = list(
+        zip(rng.integers(0, max(n // 4, 4), m), rng.integers(0, 6, m),
+            rng.integers(0, 6, m))
+    )
+    cells += [cells[k] for k in rng.integers(0, m, n - m)]  # duplicates
+    dets = [det(*map(int, cells[k])) for k in rng.permutation(n)]
+    assert dbscan(dets, cfg) == bfs_dbscan(dets, cfg)
+
+
+def test_dbscan_pair_at_exactly_eps_is_neighbour():
+    cfg = DbscanConfig(eps=3.0, min_pts=2)  # scales (1, 2, 2)
+    assert dbscan([det(0), det(3)], cfg) == ([[0, 1]], [])
+    assert dbscan([det(0), det(1, 1, 1)], cfg) == ([[0, 1]], [])
+    assert dbscan([det(0), det(4)], cfg) == ([], [0, 1])
+
+
+def test_dbscan_border_joins_earliest_cluster():
+    # the border point at range 5 reaches one core point of each group
+    # but is not core itself; it joins the cluster whose lowest-index
+    # core point comes first
+    group_b = [det(8), det(9), det(10), det(9, 1)]
+    group_a = [det(0), det(1), det(2), det(1, 1)]
+    dets = group_b + [det(5)] + group_a
+    cfg = DbscanConfig(eps=3.0, min_pts=4)
+    expected = ([[0, 1, 2, 3, 4], [5, 6, 7, 8]], [])
+    assert bfs_dbscan(dets, cfg) == expected
+    assert dbscan(dets, cfg) == expected
+
+
+def test_dbscan_memory_bounded_at_45x45_stress_size():
+    # ~11,400 hits: a 512 x 45 x 45 sweep at pfa 1e-3.  A dense distance
+    # matrix would need ~6 GB here.
+    rng = np.random.default_rng(45)
+    cells = np.sort(rng.choice(512 * 45 * 45, 11_400, replace=False))
+    dets = [
+        det(int(r), int(t), int(x))
+        for r, t, x in zip(*np.unravel_index(cells, (512, 45, 45)))
+    ]
+    tracemalloc.start()
+    try:
+        clusters, noise = dbscan(dets, DbscanConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert sorted(noise + [i for c in clusters for i in c]) == list(
+        range(len(dets))
+    )
+
+
+@pytest.mark.parametrize(
+    "field", ["eps", "range_scale", "tx_scale", "rx_scale"]
+)
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_dbscan_config_rejects_non_finite_or_non_positive(field, value):
+    with pytest.raises(ConfigError):
+        DbscanConfig(**{field: value})
 
 
 # ------------------------------------------------- cluster measurement

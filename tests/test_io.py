@@ -1,3 +1,4 @@
+import hashlib
 import io
 import subprocess
 import sys
@@ -214,6 +215,13 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["simulate", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("value", [".inf", ".nan"])
+def test_cli_non_finite_dbscan_eps_exit_code(tmp_path, value):
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"dbscan: {{eps: {value}}}\n")
+    assert main(["e2e", "--config", str(p), "--out", str(tmp_path)]) == 2
+
+
 def test_cli_format_error_exit_code(tmp_path):
     cfgp = write_config(tmp_path, SMALL_CONFIG)
     bad = tmp_path / "bad.ratn"
@@ -223,6 +231,41 @@ def test_cli_format_error_exit_code(tmp_path):
         "--out", str(tmp_path / "out"),
     ])
     assert rc == 3
+
+
+# SHA-256 of the CSVs `track` writes for 8 sweeps of unit exponential
+# noise on a 128 x 11 x 11 grid at the default pfa 1e-3, recorded with
+# the dense-matrix breadth-first DBSCAN.  They pin cluster membership,
+# cluster numbering and the tracker's output bytes.
+GOLDEN_DETECTIONS_SHA256 = (
+    "65b2e040944e6416c98a0a4e8463069597ad4a9c9baea016d138b5073675e383"
+)
+GOLDEN_TRACKS_SHA256 = (
+    "ada9428821f3aaa16c009de5456a427e245686b98bdc72b46bda7c7910b1126e"
+)
+
+
+def test_cli_track_golden_digest(tmp_path):
+    tensors = tmp_path / "noise.ratn"
+    tensors.write_bytes(
+        write_file([small_tensor(k, shape=(128, 11, 11)) for k in range(8)])
+    )
+    out = tmp_path / "out"
+    assert main([
+        "track", "--tensors", str(tensors),
+        "--config", write_config(tmp_path, {}), "--out", str(out),
+    ]) == 0
+    rows = (out / "detections.csv").read_text().splitlines()[1:]
+    ranges = [float(row.split(",")[1]) for row in rows]
+    # no cluster at range 0, so the digests do not depend on how the
+    # tracker treats a measurement without a bearing
+    assert len(ranges) > 20 and min(ranges) > 0.0
+
+    def digest(name):
+        return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    assert digest("detections.csv") == GOLDEN_DETECTIONS_SHA256
+    assert digest("tracks.csv") == GOLDEN_TRACKS_SHA256
 
 
 def test_cli_stdin_pipe(tmp_path):

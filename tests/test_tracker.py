@@ -319,6 +319,27 @@ def test_ids_never_reused():
     assert b != a
 
 
+def test_zero_range_measurement_never_spawns():
+    # range 0 has no bearing; a track spawned there would sit at the
+    # singular origin of the measurement model
+    tr = Tracker(TrackerConfig())
+    target = meas_at(1.0, 8.0)
+    origin = (0.0, 0.3)
+    snapshots = tr.step([origin, target], 0.0)
+    snapshots += tr.step([target, origin], 0.2)
+    assert len({t.id for t in snapshots}) == 1
+    assert all(np.hypot(*t.x[:2]) > 1.0 for t in snapshots)
+
+
+def test_zero_range_measurement_updates_nearby_track():
+    tr = Tracker(TrackerConfig())
+    first = tr.step([meas_at(0.3, 0.5)], 0.0)[0]
+    out = tr.step([(0.0, 0.0)], 0.2)
+    assert [t.id for t in out] == [first.id]
+    assert out[0].hits == 2
+    assert np.hypot(*out[0].x[:2]) < np.hypot(*first.x[:2])
+
+
 def test_non_monotone_time_rejected():
     tr = Tracker(TrackerConfig())
     tr.step([], 0.2)
