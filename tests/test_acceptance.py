@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS line
 with its measured values (run with -s or -v to see them)."""
 
+import hashlib
 import io
 import time
 
@@ -44,6 +45,36 @@ from oracles import (
 )
 
 BORESIGHT = BeamCodebook(tx_angles_deg=(0.0,), rx_angles_deg=(0.0,))
+
+
+def sha256(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+# SHA-256 of the `ratrack e2e` outputs on the criterion-6 and criterion-9
+# scenarios (numpy 2.2.6); the pipeline must reproduce them byte for byte
+E2E_DIGESTS = {
+    "detections.csv":
+        "f4bfa4b6c1d70bcdafb1b3ab350ecd7217fb9b4b86f6570b6db73c72c41ea0c6",
+    "tracks.csv":
+        "a3b3641429bfac981f3d270c3dc2c1818ec2981582dad5d47b4985e9d08d4e61",
+    "truth.csv":
+        "9b7731826eb31ff5552ffc69695a70bc53248b94793c6b1087b04549f621b2ec",
+    "report_summary.csv":
+        "b96a1352525c7d8f8bb03e6b0730ab100b19ff748ff3d6275ed64f57f69087e6",
+}
+SMALL_DIGESTS = {
+    "detections.csv":
+        "1daac18ec6152d299bc336dce2aa92fc40df12614f94b911f4163d29982b1bfc",
+    "tracks.csv":
+        "1991b5ee1eb3d90b666bf3bd19eb4338bceca42ee4a77a3d98cd7ebcf1b2f321",
+    "truth.csv":
+        "4b5b376e601cb7ac26105cdccdcd49d60a31cef34342773f34d62085c13e4fdf",
+    "report_summary.csv":
+        "a4005498502d7b2fcb1fbabec642fde69f26e3463e7656d67578ccf55b26b88b",
+}
 
 
 def report(criterion, detail, elapsed, budget):
@@ -241,6 +272,22 @@ def test_criterion_6_end_to_end_two_reflectors():
     assert rep_all.id_switch_count == 0
     assert rep_all.false_track_count == 0
 
+    from ratrack import pipeline
+
+    def csv(header, rows):
+        return header + "\n" + "".join(row + "\n" for row in rows)
+
+    outputs = {
+        "detections.csv": csv(pipeline.DETECTIONS_HEADER, res.detection_rows),
+        "tracks.csv": csv(pipeline.TRACKS_HEADER, res.track_rows),
+        "truth.csv": csv(pipeline.TRUTH_HEADER,
+                         pipeline.truth_log_to_rows(truth_log)),
+        "report_summary.csv":
+            pipeline.build_report(res, cfg, truth_log).to_csv_line(),
+    }
+    for name, digest in E2E_DIGESTS.items():
+        assert sha256(outputs[name]) == digest, name
+
     late_tracks = {k: v for k, v in res.tracks_log.items() if k > 15}
     late_truth = {k: v for k, v in truth_log.items() if k > 15}
     rep = compute_report(
@@ -342,6 +389,8 @@ def test_criterion_9_determinism_and_format(tmp_path):
         assert (tmp_path / "a" / name).read_text() == (
             tmp_path / "b" / name
         ).read_text()
+    for name, digest in SMALL_DIGESTS.items():
+        assert sha256((tmp_path / "a" / name).read_bytes()) == digest, name
 
     # tensor file round trip is bit exact
     cfg = from_dict(doc)
