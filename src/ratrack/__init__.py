@@ -18,7 +18,6 @@ from .detector import (
     ca_cfar,
     cfar_threshold_factor,
     cluster_detections,
-    cluster_to_measurement,
     dbscan,
 )
 from .errors import (
@@ -30,8 +29,8 @@ from .errors import (
     SingularGeometryError,
     StreamError,
 )
-from .metrics import RunReport, compute_report, match_tracks_to_truth
-from .receiver import RangeProfile, RaTensor, estimate_channel, range_profile, sweep
+from .metrics import RunReport, Scorer
+from .receiver import RaTensor, estimate_channel, range_profile, sweep
 from .tracker import (
     Tracker,
     TrackerConfig,

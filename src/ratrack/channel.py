@@ -9,6 +9,7 @@ are quasi-static within one sweep and move only between sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,7 +87,19 @@ class BeamCodebook:
 def default_codebook(
     span_deg: float = 50.0, step_deg: float = 5.0
 ) -> BeamCodebook:
-    """Symmetric azimuth sweep, 21 x 21 beams by default."""
+    """Symmetric azimuth sweep, 21 x 21 beams by default.
+
+    span_deg 0 gives the single boresight beam.
+    """
+    try:
+        finite = math.isfinite(span_deg) and math.isfinite(step_deg)
+    except TypeError:
+        finite = False
+    if not finite or step_deg <= 0 or span_deg < 0:
+        raise ConfigError(
+            f"codebook needs finite span_deg >= 0 and step_deg > 0, got "
+            f"span_deg {span_deg!r}, step_deg {step_deg!r}"
+        )
     angles = tuple(np.arange(-span_deg, span_deg + step_deg / 2, step_deg))
     return BeamCodebook(tx_angles_deg=angles, rx_angles_deg=angles)
 

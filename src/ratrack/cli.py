@@ -15,6 +15,7 @@ from pathlib import Path
 from . import config as config_mod
 from . import pipeline, tensorfile
 from .errors import ConfigError, FormatError, RatrackError
+from .metrics import Scorer
 
 log = logging.getLogger("ratrack")
 
@@ -27,11 +28,10 @@ def _setup_logging():
     )
 
 
-def _write_lines(path: Path, header: str, rows: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def _open_csv(path: Path, header: str):
+    fh = open(path, "w")
+    fh.write(header + "\n")
+    return fh
 
 
 def cmd_simulate(args) -> int:
@@ -39,9 +39,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tensor_path = out / "tensors.ratn"
-    truth_log: pipeline.TruthLog = {}
+    truth_path = out / "truth.csv"
     try:
-        with open(tensor_path, "wb") as fh:
+        with open(tensor_path, "wb") as fh, \
+                _open_csv(truth_path, pipeline.TRUTH_HEADER) as truth_fh:
             writer = None
             for tensor, truth in pipeline.simulate_sweeps(cfg):
                 if writer is None:
@@ -50,26 +51,30 @@ def cmd_simulate(args) -> int:
                         tensor.rx_angles_deg, tensor.bin_size_m,
                     )
                 writer.write(tensor)
-                truth_log[tensor.sweep_index] = truth
+                truth_fh.write(pipeline.truth_rows(tensor.sweep_index, truth))
                 log.info("simulated sweep %d", tensor.sweep_index)
     except OSError as exc:
-        print(f"I/O error writing {tensor_path}: {exc}", file=sys.stderr)
+        print(f"I/O error writing {out}: {exc}", file=sys.stderr)
         return 1
-    _write_lines(
-        out / "truth.csv", pipeline.TRUTH_HEADER,
-        pipeline.truth_log_to_rows(truth_log),
-    )
-    print(f"wrote {tensor_path} and {out / 'truth.csv'}")
+    print(f"wrote {tensor_path} and {truth_path}")
     return 0
 
 
 def _run_tracking_and_write(cfg, tensors, out: Path, truth_log) -> int:
-    res = pipeline.run_tracking(tensors, cfg)
-    report = pipeline.build_report(res, cfg, truth_log)
+    """Track the stream, writing and flushing each sweep's CSV rows as
+    it completes; the report is written once the stream ends."""
     out.mkdir(parents=True, exist_ok=True)
-    _write_lines(out / "detections.csv", pipeline.DETECTIONS_HEADER,
-                 res.detection_rows)
-    _write_lines(out / "tracks.csv", pipeline.TRACKS_HEADER, res.track_rows)
+    scorer = Scorer(truth_log, cfg.run.score_radius_m)
+    det_path, trk_path = out / "detections.csv", out / "tracks.csv"
+    with _open_csv(det_path, pipeline.DETECTIONS_HEADER) as det, \
+            _open_csv(trk_path, pipeline.TRACKS_HEADER) as trk:
+        for result in pipeline.run_tracking(tensors, cfg):
+            det.write(pipeline.detection_rows(result))
+            trk.write(pipeline.track_rows(result))
+            det.flush()
+            trk.flush()
+            scorer.add(result)
+    report = pipeline.build_report(scorer)
     (out / "report.txt").write_text(report.to_text())
     (out / "report_summary.csv").write_text(report.to_csv_line())
     print(report.to_text(), end="")
@@ -79,10 +84,7 @@ def _run_tracking_and_write(cfg, tensors, out: Path, truth_log) -> int:
 def cmd_track(args) -> int:
     cfg = config_mod.load(args.config)
     out = Path(args.out)
-    truth_log = None
-    if args.truth:
-        with open(args.truth) as fh:
-            truth_log = pipeline.truth_log_from_rows(fh)
+    truth_log = pipeline.read_truth(args.truth) if args.truth else {}
     if args.tensors == "-":
         return _run_tracking_and_write(
             cfg, tensorfile.read_sweeps(sys.stdin.buffer), out, truth_log
@@ -98,18 +100,15 @@ def cmd_e2e(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     truth_log: pipeline.TruthLog = {}
+    with _open_csv(out / "truth.csv", pipeline.TRUTH_HEADER) as truth_fh:
 
-    def tensors():
-        for tensor, truth in pipeline.simulate_sweeps(cfg):
-            truth_log[tensor.sweep_index] = truth
-            yield tensor
+        def tensors():
+            for tensor, truth in pipeline.simulate_sweeps(cfg):
+                truth_log[tensor.sweep_index] = truth
+                truth_fh.write(pipeline.truth_rows(tensor.sweep_index, truth))
+                yield tensor
 
-    rc = _run_tracking_and_write(cfg, tensors(), out, truth_log)
-    _write_lines(
-        out / "truth.csv", pipeline.TRUTH_HEADER,
-        pipeline.truth_log_to_rows(truth_log),
-    )
-    return rc
+        return _run_tracking_and_write(cfg, tensors(), out, truth_log)
 
 
 def cmd_report(args) -> int:

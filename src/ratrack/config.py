@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .channel import BeamCodebook, SceneConfig, TargetTruth, default_codebook
@@ -58,19 +57,17 @@ def _build(cls, section: dict, name: str):
 
 def _build_codebook(section: dict) -> BeamCodebook:
     section = dict(section)
-    span = section.pop("span_deg", None)
-    step = section.pop("step_deg", None)
-    if span is not None or step is not None:
+    span_step = {
+        k: section.pop(k) for k in ("span_deg", "step_deg") if k in section
+    }
+    if span_step:
         if "tx_angles_deg" in section or "rx_angles_deg" in section:
             raise ConfigError(
                 "codebook: give span/step or explicit angle tables, not both"
             )
-        angles = tuple(
-            np.arange(-(span or 50.0), (span or 50.0) + (step or 5.0) / 2,
-                      step or 5.0)
-        )
-        section["tx_angles_deg"] = angles
-        section["rx_angles_deg"] = angles
+        book = default_codebook(**span_step)
+        section["tx_angles_deg"] = book.tx_angles_deg
+        section["rx_angles_deg"] = book.rx_angles_deg
     return _build(BeamCodebook, section, "codebook")
 
 

@@ -263,11 +263,3 @@ def make_cluster(members: tuple[Detection, ...], tensor: RaTensor) -> Cluster:
         total_power=total,
     )
 
-
-def cluster_to_measurement(cluster: Cluster) -> tuple[float, float, float]:
-    """(range_m, angle_deg, power) measurement for the tracker."""
-    return (
-        cluster.centroid_range_m,
-        cluster.centroid_angle_deg,
-        cluster.total_power,
-    )

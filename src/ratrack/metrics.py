@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tracker import TrackStatus, hungarian
+from .tracker import TrackStatus, gated_pairs
 
 
 @dataclass(frozen=True)
@@ -18,19 +18,8 @@ class TruthEntry:
     vy: float
 
 
-@dataclass(frozen=True)
-class TrackEntry:
-    track_id: int
-    status: TrackStatus
-    x: float
-    y: float
-    vx: float
-    vy: float
-
-
 # per sweep_index: list of entries
 TruthLog = dict[int, list[TruthEntry]]
-TracksLog = dict[int, list[TrackEntry]]
 
 
 @dataclass
@@ -81,112 +70,116 @@ class RunReport:
         return header + "\n" + row + "\n"
 
 
-def match_tracks_to_truth(
-    tracks_log: TracksLog, truth_log: TruthLog, radius_m: float = 2.0
-) -> dict[int, list[tuple[int, int, float]]]:
-    """Per-sweep minimum-cost matching of confirmed tracks to truth.
+def match_to_truth(tracks, truths: list[TruthEntry], radius_m: float):
+    """Match one sweep's confirmed tracks to its truth entries.
 
-    Returns {sweep_index: [(track_id, target_key, distance_m), ...]}.
+    Returns (track, truth entry, distance_m) for the pairs of least
+    total distance among those within radius_m, in track order.
     """
-    correspondence: dict[int, list[tuple[int, int, float]]] = {}
-    for k, truths in truth_log.items():
-        confirmed = [
-            t for t in tracks_log.get(k, [])
-            if t.status is TrackStatus.CONFIRMED
-        ]
-        if not confirmed or not truths:
-            correspondence[k] = []
-            continue
-        cost = np.array(
-            [
-                [np.hypot(t.x - g.x, t.y - g.y) for g in truths]
-                for t in confirmed
-            ]
-        )
-        sentinel = 1e6 * max(radius_m, 1.0)
-        pairs, _ = hungarian(np.where(cost <= radius_m, cost, sentinel))
-        correspondence[k] = [
-            (confirmed[i].track_id, truths[j].target_key, float(cost[i, j]))
-            for i, j in pairs
-            if cost[i, j] <= radius_m
-        ]
-    return correspondence
+    confirmed = [t for t in tracks if t.status is TrackStatus.CONFIRMED]
+    if not confirmed or not truths:
+        return []
+    track_xy = np.array([t.x[:2] for t in confirmed])
+    truth_xy = np.array([(g.x, g.y) for g in truths])
+    diff = track_xy[:, None, :] - truth_xy[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    return [
+        (confirmed[i], truths[j], float(dist[i, j]))
+        for i, j in gated_pairs(dist, radius_m)
+    ]
 
 
-def compute_report(
-    correspondence: dict[int, list[tuple[int, int, float]]],
-    tracks_log: TracksLog,
-    truth_log: TruthLog,
-    confirm_sweeps: dict[int, int] | None = None,
-    first_detection_sweeps: dict[int, int] | None = None,
-) -> RunReport:
-    """Aggregate RMSE, identity and lifecycle metrics.
+class Scorer:
+    """Run report as a fold over the stream of per-sweep results.
 
-    confirm_sweeps maps track_id to the sweep it was confirmed;
-    first_detection_sweeps maps target_key to the sweep a measurement
-    first appeared near it.  Both are optional (confirm delay is NaN
-    without them).
+    Each sweep's truth is looked up in truth_log when the sweep is
+    added, so the log may fill while the run streams (e2e records sweep
+    k's truth just before tracking it).  A run scores against truth if
+    the log holds anything by the time report() is called.
     """
-    report = RunReport()
 
-    track_pos = {
-        (k, t.track_id): (t.x, t.y, t.vx, t.vy)
-        for k, entries in tracks_log.items()
-        for t in entries
-    }
-    truth_pos = {
-        (k, g.target_key): (g.x, g.y, g.vx, g.vy)
-        for k, entries in truth_log.items()
-        for g in entries
-    }
+    def __init__(self, truth_log: TruthLog, radius_m: float):
+        self.truth_log = truth_log
+        self.radius_m = radius_m
+        self.n_detections = 0
+        self.n_cells = 0
+        self.detect_s: list[float] = []
+        self.track_s: list[float] = []
+        self.confirm_sweeps: dict[int, int] = {}  # track id -> first sweep
+        self.first_detections: dict[int, int] = {}  # target -> first sweep
+        self.pos_sq: list[float] = []
+        self.vel_sq: list[float] = []
+        self.per_track_sq: dict[int, list[float]] = {}
+        self.matched_ids: dict[int, list[int]] = {}  # target -> track ids
 
-    pos_sq: list[float] = []
-    vel_sq: list[float] = []
-    per_track_sq: dict[int, list[float]] = {}
-    matched_seq: dict[int, list[tuple[int, int]]] = {}  # target -> (sweep, id)
-    ever_matched: set[int] = set()
-    for k in sorted(correspondence):
-        for tid, key, _dist in correspondence[k]:
-            tx, ty, tvx, tvy = track_pos[(k, tid)]
-            gx, gy, gvx, gvy = truth_pos[(k, key)]
-            e2 = (tx - gx) ** 2 + (ty - gy) ** 2
-            pos_sq.append(e2)
-            vel_sq.append((tvx - gvx) ** 2 + (tvy - gvy) ** 2)
-            per_track_sq.setdefault(tid, []).append(e2)
-            matched_seq.setdefault(key, []).append((k, tid))
-            ever_matched.add(tid)
+    def add(self, result) -> None:
+        """Fold in one pipeline.SweepResult."""
+        k = result.sweep_index
+        self.n_detections += result.n_detections
+        self.n_cells += result.n_cells
+        self.detect_s.append(result.detect_s)
+        self.track_s.append(result.track_s)
+        for t in result.tracks:
+            if t.status is TrackStatus.CONFIRMED:
+                self.confirm_sweeps.setdefault(t.id, k)
+        truths = self.truth_log.get(k)
+        if not truths:
+            return
+        for g in truths:
+            if g.target_key in self.first_detections:
+                continue
+            for c in result.clusters:
+                r, th = c.centroid_range_m, np.radians(c.centroid_angle_deg)
+                if np.hypot(r * np.sin(th) - g.x,
+                            r * np.cos(th) - g.y) <= self.radius_m:
+                    self.first_detections[g.target_key] = k
+                    break
+        for t, g, _ in match_to_truth(result.tracks, truths, self.radius_m):
+            tx, ty, tvx, tvy = (float(v) for v in t.x)
+            e2 = (tx - g.x) ** 2 + (ty - g.y) ** 2
+            self.pos_sq.append(e2)
+            self.vel_sq.append((tvx - g.vx) ** 2 + (tvy - g.vy) ** 2)
+            self.per_track_sq.setdefault(t.id, []).append(e2)
+            self.matched_ids.setdefault(g.target_key, []).append(t.id)
 
-    if pos_sq:
-        report.pos_rmse_m = float(np.sqrt(np.mean(pos_sq)))
-        report.vel_rmse_mps = float(np.sqrt(np.mean(vel_sq)))
-        report.per_track_pos_rmse_m = {
-            tid: float(np.sqrt(np.mean(v))) for tid, v in per_track_sq.items()
-        }
+    def report(self) -> RunReport:
+        """RMSE, identity, lifecycle, false-alarm and latency summary."""
+        report = RunReport(n_confirmed_tracks=len(self.confirm_sweeps))
+        if self.truth_log:
+            self._score_truth(report)
+        if self.n_cells:
+            report.empirical_pfa = self.n_detections / self.n_cells
+        if self.detect_s:
+            detect, track = np.asarray(self.detect_s), np.asarray(self.track_s)
+            report.latency_ms = {
+                "detect_median": 1e3 * float(np.median(detect)),
+                "detect_max": 1e3 * float(np.max(detect)),
+                "track_median": 1e3 * float(np.median(track)),
+                "track_max": 1e3 * float(np.max(track)),
+                "sweep_median": 1e3 * float(np.median(detect + track)),
+            }
+        return report
 
-    for key, seq in matched_seq.items():
-        ids = [tid for _, tid in seq]
-        report.id_switch_count += sum(
-            1 for a, b in zip(ids, ids[1:]) if a != b
-        )
-        report.track_fragmentation += len(set(ids)) - 1
-
-    confirmed_ids = {
-        t.track_id
-        for entries in tracks_log.values()
-        for t in entries
-        if t.status is TrackStatus.CONFIRMED
-    }
-    report.n_confirmed_tracks = len(confirmed_ids)
-    report.false_track_count = len(confirmed_ids - ever_matched)
-
-    if confirm_sweeps and first_detection_sweeps:
+    def _score_truth(self, report: RunReport) -> None:
+        if self.pos_sq:
+            report.pos_rmse_m = float(np.sqrt(np.mean(self.pos_sq)))
+            report.vel_rmse_mps = float(np.sqrt(np.mean(self.vel_sq)))
+            report.per_track_pos_rmse_m = {
+                tid: float(np.sqrt(np.mean(v)))
+                for tid, v in self.per_track_sq.items()
+            }
         delays = []
-        for key, seq in matched_seq.items():
-            first_det = first_detection_sweeps.get(key)
-            tid = seq[0][1]
-            confirmed_at = confirm_sweeps.get(tid)
+        for key, ids in self.matched_ids.items():
+            report.id_switch_count += sum(
+                1 for a, b in zip(ids, ids[1:]) if a != b
+            )
+            report.track_fragmentation += len(set(ids)) - 1
+            first_det = self.first_detections.get(key)
+            confirmed_at = self.confirm_sweeps.get(ids[0])
             if first_det is not None and confirmed_at is not None:
                 delays.append(confirmed_at - first_det)
         if delays:
             report.mean_confirm_delay_sweeps = float(np.mean(delays))
-    return report
+        report.false_track_count = len(
+            self.confirm_sweeps.keys() - self.per_track_sq.keys()
+        )

@@ -1,27 +1,26 @@
-"""End-to-end orchestration: simulate sweeps, detect, track, score."""
+"""End-to-end orchestration: simulate sweeps, detect, track, score.
+
+run_tracking yields one SweepResult per input sweep; the CSV row
+serializers below and metrics.Scorer are its consumers.
+"""
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .channel import advance
 from .config import PipelineConfig
-from .detector import MtiFilter, ca_cfar, cluster_detections
-from .metrics import (
-    RunReport,
-    TrackEntry,
-    TracksLog,
-    TruthEntry,
-    TruthLog,
-    compute_report,
-    match_tracks_to_truth,
-)
+from .detector import Cluster, MtiFilter, ca_cfar, cluster_detections
+from .errors import ConfigError
+from .metrics import RunReport, Scorer, TruthEntry, TruthLog
 from .receiver import RaTensor, sweep
-from .tracker import Tracker, TrackStatus
+from .tracker import Tracker, TrackState
 
 FLOAT_FMT = "%.9g"
 
@@ -30,6 +29,22 @@ TRACKS_HEADER = (
     "sweep_index,t_s,track_id,status,x,y,vx,vy,pos_std_x,pos_std_y"
 )
 TRUTH_HEADER = "sweep_index,target_key,x,y,vx,vy"
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Everything one sweep produced, in the order the stages ran."""
+
+    sweep_index: int
+    t_start_s: float
+    clusters: tuple[Cluster, ...]
+    # Tracker.step snapshots: live tracks, then tracks that died this
+    # sweep (emitted once with status DEAD)
+    tracks: tuple[TrackState, ...]
+    n_cells: int  # cells CFAR tested; 0 during the MTI warm-up
+    n_detections: int
+    detect_s: float  # MTI + CFAR + DBSCAN
+    track_s: float
 
 
 def simulate_sweeps(
@@ -53,161 +68,115 @@ def simulate_sweeps(
         scene = advance(scene, scene.sweep_period_s)
 
 
-@dataclass
-class TrackRunResult:
-    detection_rows: list[str] = field(default_factory=list)
-    track_rows: list[str] = field(default_factory=list)
-    tracks_log: TracksLog = field(default_factory=dict)
-    cluster_log: dict[int, list[tuple[float, float]]] = field(
-        default_factory=dict
-    )  # sweep -> [(x, y)] cluster positions
-    confirm_sweeps: dict[int, int] = field(default_factory=dict)
-    n_detections: int = 0
-    n_cells: int = 0
-    detect_latency_s: list[float] = field(default_factory=list)
-    track_latency_s: list[float] = field(default_factory=list)
-
-
 def run_tracking(
     tensors: Iterable[RaTensor], cfg: PipelineConfig
-) -> TrackRunResult:
-    """Stream tensors through MTI -> CFAR -> DBSCAN -> tracker."""
+) -> Iterator[SweepResult]:
+    """Stream tensors through MTI -> CFAR -> DBSCAN -> tracker.
+
+    Yields each sweep's result as soon as that sweep is tracked.
+    """
     mti = MtiFilter(cfg.run.mti_taps)
     tracker = Tracker(cfg.tracker)
-    res = TrackRunResult()
-
     for tensor in tensors:
         t0 = time.perf_counter()
         filtered, warm_up = mti.apply(tensor)
         if warm_up:
-            clusters = []
+            clusters, n_cells, n_detections = [], 0, 0
         else:
             dets = ca_cfar(filtered, cfg.cfar)
-            res.n_detections += len(dets)
-            res.n_cells += filtered.power.size
+            n_cells, n_detections = filtered.power.size, len(dets)
             clusters, _noise = cluster_detections(dets, cfg.dbscan, filtered)
         t1 = time.perf_counter()
-
-        measurements = [
-            (c.centroid_range_m, np.radians(c.centroid_angle_deg))
-            for c in clusters
-        ]
-        snapshots = tracker.step(measurements, tensor.t_start_s)
+        snapshots = tracker.step(
+            [
+                (c.centroid_range_m, np.radians(c.centroid_angle_deg))
+                for c in clusters
+            ],
+            tensor.t_start_s,
+        )
         t2 = time.perf_counter()
-        res.detect_latency_s.append(t1 - t0)
-        res.track_latency_s.append(t2 - t1)
-
-        k = tensor.sweep_index
-        res.cluster_log[k] = [
-            (r * np.sin(th), r * np.cos(th)) for r, th in measurements
-        ]
-        for cid, c in enumerate(clusters):
-            res.detection_rows.append(
-                f"{k},{FLOAT_FMT % c.centroid_range_m},"
-                f"{FLOAT_FMT % c.centroid_angle_deg},"
-                f"{FLOAT_FMT % c.total_power},{cid}"
-            )
-        res.tracks_log[k] = []
-        for t in snapshots:
-            if t.status is TrackStatus.CONFIRMED:
-                res.confirm_sweeps.setdefault(t.id, k)
-            res.tracks_log[k].append(
-                TrackEntry(
-                    track_id=t.id, status=t.status,
-                    x=float(t.x[0]), y=float(t.x[1]),
-                    vx=float(t.x[2]), vy=float(t.x[3]),
-                )
-            )
-            res.track_rows.append(
-                f"{k},{FLOAT_FMT % tensor.t_start_s},{t.id},{t.status.value},"
-                f"{FLOAT_FMT % t.x[0]},{FLOAT_FMT % t.x[1]},"
-                f"{FLOAT_FMT % t.x[2]},{FLOAT_FMT % t.x[3]},"
-                f"{FLOAT_FMT % np.sqrt(t.P[0, 0])},"
-                f"{FLOAT_FMT % np.sqrt(t.P[1, 1])}"
-            )
-    return res
-
-
-def first_detection_sweeps(
-    cluster_log: dict[int, list[tuple[float, float]]],
-    truth_log: TruthLog,
-    radius_m: float,
-) -> dict[int, int]:
-    """First sweep where any cluster fell within radius of each target."""
-    first: dict[int, int] = {}
-    for k in sorted(truth_log):
-        for g in truth_log[k]:
-            if g.target_key in first:
-                continue
-            for cx, cy in cluster_log.get(k, []):
-                if np.hypot(cx - g.x, cy - g.y) <= radius_m:
-                    first[g.target_key] = k
-                    break
-    return first
-
-
-def build_report(
-    res: TrackRunResult,
-    cfg: PipelineConfig,
-    truth_log: TruthLog | None = None,
-) -> RunReport:
-    if truth_log:
-        corr = match_tracks_to_truth(
-            res.tracks_log, truth_log, cfg.run.score_radius_m
+        yield SweepResult(
+            sweep_index=tensor.sweep_index,
+            t_start_s=tensor.t_start_s,
+            clusters=tuple(clusters),
+            tracks=tuple(snapshots),
+            n_cells=n_cells,
+            n_detections=n_detections,
+            detect_s=t1 - t0,
+            track_s=t2 - t1,
         )
-        report = compute_report(
-            corr,
-            res.tracks_log,
-            truth_log,
-            confirm_sweeps=res.confirm_sweeps,
-            first_detection_sweeps=first_detection_sweeps(
-                res.cluster_log, truth_log, cfg.run.score_radius_m
-            ),
+
+
+def build_report(scorer: Scorer) -> RunReport:
+    """The run report, built once after the sweep stream has ended."""
+    return scorer.report()
+
+
+# -- CSV rows: each serializer returns newline-terminated lines ----------
+
+_TRACK_FLOATS_FMT = ",".join([FLOAT_FMT] * 6)
+
+
+def detection_rows(result: SweepResult) -> str:
+    k = result.sweep_index
+    return "".join(
+        f"{k},{FLOAT_FMT % c.centroid_range_m},"
+        f"{FLOAT_FMT % c.centroid_angle_deg},"
+        f"{FLOAT_FMT % c.total_power},{cid}\n"
+        for cid, c in enumerate(result.clusters)
+    )
+
+
+def track_rows(result: SweepResult) -> str:
+    head = f"{result.sweep_index},{FLOAT_FMT % result.t_start_s},"
+    return "".join(
+        f"{head}{t.id},{t.status.value},"
+        + _TRACK_FLOATS_FMT % (
+            *t.x, math.sqrt(t.P[0, 0]), math.sqrt(t.P[1, 1])
         )
-    else:
-        report = RunReport()
-        report.n_confirmed_tracks = len(res.confirm_sweeps)
-    if res.n_cells:
-        report.empirical_pfa = res.n_detections / res.n_cells
-    if res.detect_latency_s:
-        report.latency_ms = {
-            "detect_median": 1e3 * float(np.median(res.detect_latency_s)),
-            "detect_max": 1e3 * float(np.max(res.detect_latency_s)),
-            "track_median": 1e3 * float(np.median(res.track_latency_s)),
-            "track_max": 1e3 * float(np.max(res.track_latency_s)),
-            "sweep_median": 1e3
-            * float(
-                np.median(
-                    np.asarray(res.detect_latency_s)
-                    + np.asarray(res.track_latency_s)
-                )
-            ),
-        }
-    return report
+        + "\n"
+        for t in result.tracks
+    )
 
 
-def truth_log_to_rows(truth_log: TruthLog) -> list[str]:
-    rows = []
-    for k in sorted(truth_log):
-        for g in truth_log[k]:
-            rows.append(
-                f"{k},{g.target_key},{FLOAT_FMT % g.x},{FLOAT_FMT % g.y},"
-                f"{FLOAT_FMT % g.vx},{FLOAT_FMT % g.vy}"
-            )
-    return rows
+def truth_rows(sweep_index: int, truths: list[TruthEntry]) -> str:
+    return "".join(
+        f"{sweep_index},{g.target_key},{FLOAT_FMT % g.x},{FLOAT_FMT % g.y},"
+        f"{FLOAT_FMT % g.vx},{FLOAT_FMT % g.vy}\n"
+        for g in truths
+    )
 
 
-def truth_log_from_rows(lines: Iterable[str]) -> TruthLog:
+def read_truth(path: str | Path) -> TruthLog:
+    """Parse a truth CSV as written by simulate or e2e.
+
+    A row with the wrong field count, a non-numeric value or a
+    non-finite coordinate is a ConfigError naming the file and line.
+    """
     log: TruthLog = {}
-    for line in lines:
-        line = line.strip()
-        if not line or line == TRUTH_HEADER:
-            continue
-        k, key, x, y, vx, vy = line.split(",")
-        log.setdefault(int(k), []).append(
-            TruthEntry(
-                target_key=int(key), x=float(x), y=float(y),
-                vx=float(vx), vy=float(vy),
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read truth file {path}: {exc}")
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line == TRUTH_HEADER:
+                continue
+            fields = line.split(",")
+            try:
+                k, key = int(fields[0]), int(fields[1])
+                x, y, vx, vy = (float(v) for v in fields[2:])
+            except (ValueError, IndexError):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {TRUTH_HEADER} with numeric"
+                    f" values, got {line!r}"
+                )
+            if not all(map(math.isfinite, (x, y, vx, vy))):
+                raise ConfigError(
+                    f"{path}:{lineno}: non-finite value in {line!r}"
+                )
+            log.setdefault(k, []).append(
+                TruthEntry(target_key=key, x=x, y=y, vx=vx, vy=vy)
             )
-        )
     return log

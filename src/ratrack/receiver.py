@@ -14,14 +14,6 @@ DEFAULT_N_RANGE = 512
 
 
 @dataclass(frozen=True)
-class RangeProfile:
-    """Linear power per range bin for one beam pair."""
-
-    power: np.ndarray
-    bin_size_m: float
-
-
-@dataclass(frozen=True)
 class RaTensor:
     """One sweep's power tensor, [n_range x n_tx x n_rx], float32.
 
@@ -62,8 +54,11 @@ def estimate_channel(rx_grid: np.ndarray, tx_grid: np.ndarray) -> np.ndarray:
     return rx_grid / tx_grid
 
 
-def range_profile(H: np.ndarray, cfg: WaveformConfig) -> RangeProfile:
+def range_profile(H: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     """Coherent symbol average, zero-pad to fft_size, IDFT, power.
+
+    Returns the linear power of all fft_size bins, cfg.range_bin_m
+    apart.
 
     Symbols are averaged before the IFFT: intra-dwell Doppler is zero by
     construction, so coherent averaging gives the full SNR gain.
@@ -71,10 +66,7 @@ def range_profile(H: np.ndarray, cfg: WaveformConfig) -> RangeProfile:
     h_bar = H.mean(axis=1) if H.ndim == 2 else H
     padded = np.zeros(cfg.fft_size, dtype=np.complex128)
     padded[: h_bar.shape[0]] = h_bar
-    impulse = np.fft.ifft(padded)
-    return RangeProfile(
-        power=np.abs(impulse) ** 2, bin_size_m=cfg.range_bin_m
-    )
+    return np.abs(np.fft.ifft(padded)) ** 2
 
 
 def sweep(
@@ -115,7 +107,7 @@ def sweep(
                 )
                 H = estimate_channel(rx, grid.data)
                 profile = range_profile(H, wf_cfg)
-            power[:, ti, ri] = profile.power[:n_range].astype(np.float32)
+            power[:, ti, ri] = profile[:n_range].astype(np.float32)
 
     return RaTensor(
         power=power,

@@ -3,15 +3,14 @@
 State per track is [x, y, vx, vy] in Cartesian coordinates (x
 cross-range, y down-range).  Measurements are native polar (range,
 bearing); the nonlinearity lives in the measurement map and the EKF
-linearizes it about the predicted state.  A linear-KF variant on
-converted Cartesian measurements is available via
-TrackerConfig.measurement_space for comparison.
+linearizes it about the predicted state.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,17 +37,24 @@ class TrackerConfig:
     max_misses: int = 5
     p0_pos_var: float = 1.0
     p0_vel_var: float = 25.0
-    measurement_space: str = "polar"  # or "cartesian" (linear KF variant)
 
     def __post_init__(self):
-        for name in ("q_accel", "r_range_var", "r_angle_var",
+        for name in ("q_accel", "r_range_var", "r_angle_var", "gate_m",
                      "p0_pos_var", "p0_vel_var"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{name} must be finite and > 0, got {value}"
+                )
+        for name, low in (("confirm_m", 1), ("confirm_n", 1),
+                          ("max_misses", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise ConfigError(
+                    f"{name} must be an integer >= {low}, got {value}"
+                )
         if self.confirm_m > self.confirm_n:
             raise ConfigError("confirm_m must be <= confirm_n")
-        if self.measurement_space not in ("polar", "cartesian"):
-            raise ConfigError("measurement_space must be polar or cartesian")
 
 
 @dataclass
@@ -60,14 +66,12 @@ class TrackState:
     hits: int = 0
     misses: int = 0
     age: int = 0
-    last_update_s: float = 0.0
     history: deque = field(default_factory=lambda: deque(maxlen=4))
 
     def snapshot(self) -> "TrackState":
         return TrackState(
             id=self.id, x=self.x.copy(), P=self.P.copy(), status=self.status,
             hits=self.hits, misses=self.misses, age=self.age,
-            last_update_s=self.last_update_s,
             history=deque(self.history, maxlen=self.history.maxlen),
         )
 
@@ -134,9 +138,13 @@ def wrap_angle(a: float) -> float:
     return np.pi if a == -np.pi else a
 
 
-def _joseph_update(
-    track: TrackState, innovation: np.ndarray, H: np.ndarray, R: np.ndarray
+def ekf_update(
+    track: TrackState, z: tuple[float, float], cfg: TrackerConfig
 ) -> TrackState:
+    """Joseph-form measurement update with z = (range_m, bearing_rad)."""
+    h, H = measurement_model(track.x)
+    R = np.diag([cfg.r_range_var, cfg.r_angle_var])
+    innovation = np.array([z[0] - h[0], wrap_angle(z[1] - h[1])])
     S = H @ track.P @ H.T + R
     try:
         S_inv = np.linalg.inv(S)
@@ -152,32 +160,6 @@ def _joseph_update(
     return out
 
 
-def ekf_update(
-    track: TrackState, z: tuple[float, float], cfg: TrackerConfig
-) -> TrackState:
-    """Measurement update with z = (range_m, bearing_rad)."""
-    r, theta = z
-    if cfg.measurement_space == "cartesian":
-        # linear KF on the converted measurement; R mapped through the
-        # polar->Cartesian Jacobian at the measurement
-        zx, zy = polar_to_cartesian(r, theta)
-        H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        J = np.array(
-            [
-                [np.sin(theta), r * np.cos(theta)],
-                [np.cos(theta), -r * np.sin(theta)],
-            ]
-        )
-        R = J @ np.diag([cfg.r_range_var, cfg.r_angle_var]) @ J.T
-        innovation = np.array([zx, zy]) - H @ track.x
-        return _joseph_update(track, innovation, H, R)
-
-    h, H = measurement_model(track.x)
-    R = np.diag([cfg.r_range_var, cfg.r_angle_var])
-    innovation = np.array([r - h[0], wrap_angle(theta - h[1])])
-    return _joseph_update(track, innovation, H, R)
-
-
 def hungarian(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     """Minimum-cost one-to-one assignment of min(n, m) pairs."""
     cost = np.asarray(cost, dtype=float)
@@ -188,6 +170,18 @@ def hungarian(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
     return pairs, float(cost[rows, cols].sum())
 
 
+def gated_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """Minimum-cost (row, col) pairs among entries with dist <= gate.
+
+    Entries beyond the gate get a sentinel cost of 1e6 * max(gate, 1),
+    so the solver prefers any in-gate pair, and the pairs it is forced
+    through a sentinel are stripped, so gating is exact.
+    """
+    gated = dist <= gate
+    pairs, _ = hungarian(np.where(gated, dist, 1e6 * max(gate, 1.0)))
+    return [(i, j) for i, j in pairs if gated[i, j]]
+
+
 def associate(
     tracks: list[TrackState],
     measurements: list[tuple[float, float]],
@@ -196,9 +190,8 @@ def associate(
     """Gated global-nearest-neighbor association.
 
     Cost is the Euclidean distance between each predicted track
-    position and each measurement converted to Cartesian.  Pairs beyond
-    gate_m get a sentinel cost and are stripped afterwards, so gating
-    is exact even when the solver is forced through a sentinel.
+    position and each measurement converted to Cartesian, gated at
+    gate_m.
 
     Returns (matched (track_idx, meas_idx) pairs, unmatched track
     indices, unmatched measurement indices).
@@ -206,13 +199,10 @@ def associate(
     n, m = len(tracks), len(measurements)
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
-    sentinel = 1e6 * cfg.gate_m
     meas_xy = np.array([polar_to_cartesian(r, th) for r, th in measurements])
     track_xy = np.array([t.x[:2] for t in tracks])
     dist = np.linalg.norm(track_xy[:, None, :] - meas_xy[None, :, :], axis=-1)
-    cost = np.where(dist <= cfg.gate_m, dist, sentinel)
-    pairs, _ = hungarian(cost)
-    matched = [(i, j) for i, j in pairs if dist[i, j] <= cfg.gate_m]
+    matched = gated_pairs(dist, cfg.gate_m)
     used_t = {i for i, _ in matched}
     used_m = {j for _, j in matched}
     return (
@@ -240,6 +230,8 @@ class Tracker:
         this sweep (emitted once with status DEAD).
         """
         cfg = self.cfg
+        if not math.isfinite(t_s):
+            raise StreamError(f"timestamp must be finite, got {t_s}")
         if self._last_t is not None:
             if t_s <= self._last_t:
                 raise StreamError(
@@ -255,7 +247,6 @@ class Tracker:
         for ti, mi in matched:
             updated = ekf_update(self.tracks[ti], measurements[mi], cfg)
             updated.misses = 0
-            updated.last_update_s = t_s
             updated.history.append(True)
             self.tracks[ti] = updated
         for ti in un_tracks:
@@ -279,13 +270,13 @@ class Tracker:
         # track but never starts one at the singular origin
         for mi in un_meas:
             if measurements[mi][0] != 0.0:
-                self.tracks.append(self._spawn(measurements[mi], t_s))
+                self.tracks.append(self._spawn(measurements[mi]))
 
         out = [t.snapshot() for t in self.tracks]
         out.extend(t.snapshot() for t in dead)
         return out
 
-    def _spawn(self, z: tuple[float, float], t_s: float) -> TrackState:
+    def _spawn(self, z: tuple[float, float]) -> TrackState:
         cfg = self.cfg
         px, py = polar_to_cartesian(*z)
         track = TrackState(
@@ -295,7 +286,6 @@ class Tracker:
                        cfg.p0_vel_var, cfg.p0_vel_var]),
             hits=1,
             age=1,
-            last_update_s=t_s,
             history=deque([True], maxlen=cfg.confirm_n),
         )
         return track

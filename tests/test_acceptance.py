@@ -24,15 +24,24 @@ from ratrack import (
     ca_cfar,
     dbscan,
     hungarian,
-    match_tracks_to_truth,
     measurement_model,
-    compute_report,
     sweep,
 )
 from ratrack.channel import advance
 from ratrack.cli import main as cli_main
 from ratrack.config import from_dict
-from ratrack.pipeline import run_tracking, simulate_sweeps
+from ratrack.metrics import Scorer
+from ratrack.pipeline import (
+    DETECTIONS_HEADER,
+    TRACKS_HEADER,
+    TRUTH_HEADER,
+    build_report,
+    detection_rows,
+    run_tracking,
+    simulate_sweeps,
+    track_rows,
+    truth_rows,
+)
 from ratrack.receiver import RaTensor
 from ratrack.tensorfile import TensorWriter, read_sweeps
 from ratrack.waveform import C_LIGHT
@@ -54,7 +63,8 @@ def sha256(data) -> str:
 
 
 # SHA-256 of the `ratrack e2e` outputs on the criterion-6 and criterion-9
-# scenarios (numpy 2.2.6); the pipeline must reproduce them byte for byte
+# scenarios (same under numpy 2.2.6 and 2.4.6); the pipeline must
+# reproduce them byte for byte
 E2E_DIGESTS = {
     "detections.csv":
         "f4bfa4b6c1d70bcdafb1b3ab350ecd7217fb9b4b86f6570b6db73c72c41ea0c6",
@@ -241,7 +251,7 @@ def test_criterion_6_end_to_end_two_reflectors():
                 early_tensors.append(tensor)
             yield tensor
 
-    res = run_tracking(gen(), cfg)
+    results = list(run_tracking(gen(), cfg))
 
     # verify the scenario sits near the 20 dB post-MTI operating point
     mti = MtiFilter()
@@ -264,36 +274,31 @@ def test_criterion_6_end_to_end_two_reflectors():
         for g in truths:
             assert np.hypot(g.vx, g.vy) <= 1.5
 
-    rep_all = compute_report(
-        match_tracks_to_truth(res.tracks_log, truth_log, cfg.run.score_radius_m),
-        res.tracks_log, truth_log,
-    )
+    scorer = Scorer(truth_log, cfg.run.score_radius_m)
+    late_truth = {k: v for k, v in truth_log.items() if k > 15}
+    late = Scorer(late_truth, cfg.run.score_radius_m)
+    for r in results:
+        scorer.add(r)
+        if r.sweep_index > 15:
+            late.add(r)
+    rep_all = build_report(scorer)
     assert rep_all.n_confirmed_tracks == 2
     assert rep_all.id_switch_count == 0
     assert rep_all.false_track_count == 0
 
-    from ratrack import pipeline
-
-    def csv(header, rows):
-        return header + "\n" + "".join(row + "\n" for row in rows)
-
+    # the bytes `ratrack e2e` writes for this scenario
     outputs = {
-        "detections.csv": csv(pipeline.DETECTIONS_HEADER, res.detection_rows),
-        "tracks.csv": csv(pipeline.TRACKS_HEADER, res.track_rows),
-        "truth.csv": csv(pipeline.TRUTH_HEADER,
-                         pipeline.truth_log_to_rows(truth_log)),
-        "report_summary.csv":
-            pipeline.build_report(res, cfg, truth_log).to_csv_line(),
+        "detections.csv": DETECTIONS_HEADER + "\n"
+        + "".join(map(detection_rows, results)),
+        "tracks.csv": TRACKS_HEADER + "\n" + "".join(map(track_rows, results)),
+        "truth.csv": TRUTH_HEADER + "\n"
+        + "".join(truth_rows(k, truth_log[k]) for k in sorted(truth_log)),
+        "report_summary.csv": rep_all.to_csv_line(),
     }
     for name, digest in E2E_DIGESTS.items():
         assert sha256(outputs[name]) == digest, name
 
-    late_tracks = {k: v for k, v in res.tracks_log.items() if k > 15}
-    late_truth = {k: v for k, v in truth_log.items() if k > 15}
-    rep = compute_report(
-        match_tracks_to_truth(late_tracks, late_truth, cfg.run.score_radius_m),
-        late_tracks, late_truth,
-    )
+    rep = build_report(late)
     assert rep.pos_rmse_m <= 0.75
     assert rep.vel_rmse_mps <= 0.3
     report(
@@ -354,9 +359,8 @@ def test_criterion_8_realtime_budget():
                      sweep_index=k, t_start_s=0.2 * k, bin_size_m=0.3049)
         )
     cfg = from_dict({"cfar": {"pfa": 1e-6}})
-    res = run_tracking(tensors, cfg)
-    per_sweep_ms = 1e3 * (
-        np.asarray(res.detect_latency_s) + np.asarray(res.track_latency_s)
+    per_sweep_ms = 1e3 * np.array(
+        [r.detect_s + r.track_s for r in run_tracking(tensors, cfg)]
     )
     median_ms = float(np.median(per_sweep_ms))
     assert median_ms < 400.0  # 200 ms target with 2x CI slack

@@ -15,7 +15,6 @@ from ratrack import (
     ca_cfar,
     cfar_threshold_factor,
     cluster_detections,
-    cluster_to_measurement,
     dbscan,
     sweep,
 )
@@ -367,10 +366,9 @@ def test_cluster_single_member_measurement():
     make_tensor.k = 0
     t = make_tensor(np.zeros((200, 1, 1)), bin_size_m=0.3049)
     c = make_cluster((det(164, 0, 0, p=2.0),), t)
-    r, a, p = cluster_to_measurement(c)
-    assert r == pytest.approx(164 * 0.3049)
-    assert a == pytest.approx(-10.0)  # single angle table entry
-    assert p == pytest.approx(2.0)
+    assert c.centroid_range_m == pytest.approx(164 * 0.3049)
+    assert c.centroid_angle_deg == pytest.approx(-10.0)  # single angle entry
+    assert c.total_power == pytest.approx(2.0)
 
 
 def test_cluster_symmetric_angles_cancel():

@@ -1,12 +1,16 @@
 import hashlib
 import io
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import ratrack
 from ratrack import ConfigError, FormatError, StreamError
 from ratrack.cli import main
 from ratrack.config import from_dict, load
@@ -80,6 +84,43 @@ def test_load_yaml(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load(tmp_path / "nope.yaml")
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"span_deg": float("nan")},
+        {"span_deg": float("inf")},
+        {"span_deg": -10.0},
+        {"step_deg": float("nan")},
+        {"step_deg": float("-inf")},
+        {"step_deg": 0},
+        {"step_deg": -5.0},
+        {"span_deg": "wide"},
+    ],
+)
+def test_codebook_span_step_rejected(section):
+    with pytest.raises(ConfigError):
+        from_dict({"codebook": section})
+
+
+def test_codebook_zero_span_is_single_boresight_beam():
+    cfg = from_dict({"codebook": {"span_deg": 0}})
+    assert cfg.codebook.tx_angles_deg == (0.0,)
+    assert cfg.codebook.rx_angles_deg == (0.0,)
+
+
+def test_codebook_absent_key_takes_default():
+    cfg = from_dict({"codebook": {"span_deg": 10.0}})
+    assert cfg.codebook.tx_angles_deg == (-10.0, -5.0, 0.0, 5.0, 10.0)
+    cfg = from_dict({"codebook": {"step_deg": 25.0}})
+    assert cfg.codebook.rx_angles_deg == (-50.0, -25.0, 0.0, 25.0, 50.0)
+
+
+def test_cli_nan_codebook_step_exit_code(tmp_path):
+    p = tmp_path / "bad.yaml"
+    p.write_text("codebook: {step_deg: .nan}\n")
+    assert main(["e2e", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
 # -------------------------------------------------------- tensor file
@@ -268,19 +309,90 @@ def test_cli_track_golden_digest(tmp_path):
     assert digest("tracks.csv") == GOLDEN_TRACKS_SHA256
 
 
+def cli_subprocess_env():
+    # the child imports this checkout's ratrack, installed or not
+    src = str(Path(ratrack.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_cli_stdin_pipe(tmp_path):
     # simulate | track composes through a real pipe
     cfgp = write_config(tmp_path, SMALL_CONFIG)
     sim = tmp_path / "sim"
     assert main(["simulate", "--config", cfgp, "--out", str(sim)]) == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "ratrack.cli", "track", "--tensors", "-",
-         "--config", cfgp, "--out", str(tmp_path / "piped")],
-        stdin=open(sim / "tensors.ratn", "rb"),
-        capture_output=True,
-    )
+    with open(sim / "tensors.ratn", "rb") as stdin:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ratrack.cli", "track", "--tensors", "-",
+             "--config", cfgp, "--out", str(tmp_path / "piped")],
+            stdin=stdin, capture_output=True, env=cli_subprocess_env(),
+        )
     assert proc.returncode == 0, proc.stderr.decode()
     assert (tmp_path / "piped" / "tracks.csv").exists()
+
+
+def test_cli_stdin_rows_on_disk_before_eof(tmp_path):
+    # a live producer: sweep 1's rows must be written while stdin is
+    # still open, not when the stream ends
+    data = write_file([small_tensor(k, shape=(128, 11, 11)) for k in range(3)])
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ratrack.cli", "track", "--tensors", "-",
+         "--config", write_config(tmp_path, {}), "--out", str(out)],
+        stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, env=cli_subprocess_env(),
+    )
+
+    def has_sweep_1(name):
+        try:
+            lines = (out / name).read_text().splitlines()[1:]
+        except OSError:
+            return False
+        return any(line.startswith("1,") for line in lines)
+
+    try:
+        proc.stdin.write(data)
+        proc.stdin.flush()
+        deadline = time.monotonic() + 60.0
+        while not all(map(has_sweep_1, ("detections.csv", "tracks.csv"))):
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "no sweep-1 rows on disk"
+            time.sleep(0.05)
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0, proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
+TRUTH_CSV = "sweep_index,target_key,x,y,vx,vy\n0,0,0,10,0,1.6\n"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,0,1.0,oops",  # wrong field count
+        "1,0,0,10,0,1.6,7",  # wrong field count
+        "1,0,0,10,0,oops",  # non-numeric value
+        "one,0,0,10,0,1.6",  # non-numeric sweep index
+        "1,0,nan,10,0,1.6",  # non-finite coordinate
+        "1,0,0,10,inf,1.6",  # non-finite velocity
+    ],
+)
+def test_cli_malformed_truth_exit_code(tmp_path, capsys, row):
+    cfgp = write_config(tmp_path, SMALL_CONFIG)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfgp, "--out", str(sim)]) == 0
+    truth = tmp_path / "truth.csv"
+    truth.write_text(TRUTH_CSV + row + "\n")
+    capsys.readouterr()
+    assert main([
+        "track", "--tensors", str(sim / "tensors.ratn"), "--config", cfgp,
+        "--out", str(tmp_path / "out"), "--truth", str(truth),
+    ]) == 2
+    assert f"{truth}:3" in capsys.readouterr().err
 
 
 def test_warmup_sweeps_emit_no_detections(tmp_path):

@@ -18,7 +18,7 @@ from ratrack import (
     measurement_model,
     polar_to_cartesian,
 )
-from ratrack.tracker import wrap_angle
+from ratrack.tracker import gated_pairs, wrap_angle
 
 from oracles import brute_force_assignment, finite_difference_jacobian
 
@@ -177,14 +177,6 @@ def test_wrap_angle_range():
         assert -np.pi < w <= np.pi
 
 
-def test_cartesian_variant_tracks_too():
-    cfg = TrackerConfig(measurement_space="cartesian")
-    t = make_track([0.0, 10.0, 0.0, 0.0], p=4.0)
-    out = ekf_update(t, (10.5, 0.05), cfg)
-    assert out.x[1] > 10.0  # pulled toward the measurement
-    assert np.array_equal(out.P, out.P.T)
-
-
 # ---------------------------------------------------------- hungarian
 
 
@@ -214,6 +206,21 @@ def test_hungarian_empty():
 
 
 # ---------------------------------------------------------- associate
+
+
+def test_gated_pairs_strips_sentinel_pairs():
+    # row 1 has no entry in the gate: the solver is forced through a
+    # sentinel there, and that pair is dropped
+    dist = np.array([[1.0, 9.0], [9.0, 9.0]])
+    assert gated_pairs(dist, 2.0) == [(0, 0)]
+
+
+def test_gated_pairs_prefers_more_pairs_in_gate():
+    # (0, 0) alone is cheaper than (0, 1) + (1, 0), but leaves row 1
+    # on a sentinel
+    dist = np.array([[1.0, 1.5], [0.2, 9.0]])
+    assert gated_pairs(dist, 2.0) == [(0, 1), (1, 0)]
+    assert gated_pairs(np.empty((0, 3)), 2.0) == []
 
 
 def test_associate_no_tracks():
@@ -347,6 +354,19 @@ def test_non_monotone_time_rejected():
         tr.step([], 0.2)
 
 
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("t_bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_rejected(first, t_bad):
+    tr = Tracker(TrackerConfig())
+    if not first:
+        tr.step([(10.0, 0.0)], 0.0)
+    with pytest.raises(StreamError):
+        tr.step([(10.0, 0.0)], t_bad)
+    # the table is untouched: the next finite step still tracks
+    out = tr.step([(10.0, 0.0)], 0.2)
+    assert all(np.all(np.isfinite(t.x)) for t in out)
+
+
 def test_identity_stability_two_targets():
     cfg = TrackerConfig(gate_m=2.0)
     tr = Tracker(cfg)
@@ -386,5 +406,33 @@ def test_config_validation():
         TrackerConfig(q_accel=0.0)
     with pytest.raises(ConfigError):
         TrackerConfig(confirm_m=5, confirm_n=4)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["q_accel", "r_range_var", "r_angle_var", "gate_m", "p0_pos_var",
+     "p0_vel_var"],
+)
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ConfigError):
-        TrackerConfig(measurement_space="spherical")
+        TrackerConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"confirm_m": 0}, {"confirm_m": -1}, {"confirm_n": 0},
+     {"max_misses": -1}, {"max_misses": np.nan}, {"confirm_m": 2.5}],
+)
+def test_config_rejects_integer_out_of_range(kw):
+    with pytest.raises(ConfigError):
+        TrackerConfig(**kw)
+
+
+def test_config_integer_lower_bounds_accepted():
+    cfg = TrackerConfig(confirm_m=1, confirm_n=1, max_misses=0)
+    tr = Tracker(cfg)
+    tr.step([(10.0, 0.0)], 0.0)
+    out = tr.step([(10.0, 0.0)], 0.2)
+    assert out[0].status is TrackStatus.CONFIRMED
+    assert tr.step([], 0.4)[0].status is TrackStatus.DEAD
