@@ -7,7 +7,6 @@ from .channel import (
     advance,
     array_factor,
     default_codebook,
-    propagate,
 )
 from .detector import (
     CfarConfig,
@@ -30,7 +29,7 @@ from .errors import (
     StreamError,
 )
 from .metrics import RunReport, Scorer
-from .receiver import RaTensor, estimate_channel, range_profile, sweep
+from .receiver import RaTensor, range_profile, sweep
 from .tracker import (
     Tracker,
     TrackerConfig,
@@ -43,13 +42,6 @@ from .tracker import (
     measurement_model,
     polar_to_cartesian,
 )
-from .waveform import (
-    IqFrame,
-    ResourceGrid,
-    WaveformConfig,
-    build_grid,
-    demodulate,
-    modulate,
-)
+from .waveform import ResourceGrid, WaveformConfig, build_grid
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
-from .waveform import C_LIGHT, ResourceGrid
+from .errors import ConfigError, finite_floats, require_int, require_real
+from .waveform import C_LIGHT
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,13 @@ class TargetTruth:
     reflectivity: float = 1.0
 
     def __post_init__(self):
+        for name in ("pos", "vel"):
+            xy = finite_floats(f"target {name}", getattr(self, name), 2)
+            object.__setattr__(self, name, xy)
         if self.pos[1] <= 0:
             raise ConfigError("target must be in front of the array (y > 0)")
-        if self.reflectivity <= 0:
-            raise ConfigError("reflectivity must be > 0")
+        require_real("reflectivity", self.reflectivity)
+        object.__setattr__(self, "reflectivity", float(self.reflectivity))
 
     def at(self, t_s: float) -> tuple[float, float]:
         """Position after t_s seconds of constant-velocity motion."""
@@ -52,10 +55,10 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sweep_period_s <= 0:
-            raise ConfigError("sweep_period_s must be > 0")
-        if self.noise_power < 0:
-            raise ConfigError("noise_power must be >= 0")
+        for name in ("leakage_amplitude", "leakage_range_m", "noise_power"):
+            require_real(name, getattr(self, name), strict=False)
+        require_real("sweep_period_s", self.sweep_period_s)
+        require_int("seed", self.seed, 0)
         object.__setattr__(self, "targets", tuple(self.targets))
 
 
@@ -69,8 +72,12 @@ class BeamCodebook:
     element_spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
-        tx = tuple(sorted(float(a) for a in self.tx_angles_deg))
-        rx = tuple(sorted(float(a) for a in self.rx_angles_deg))
+        tx = tuple(sorted(finite_floats("tx_angles_deg", self.tx_angles_deg)))
+        rx = tuple(sorted(finite_floats("rx_angles_deg", self.rx_angles_deg)))
+        require_int("n_elements", self.n_elements, 1)
+        require_real(
+            "element_spacing_wavelengths", self.element_spacing_wavelengths
+        )
         if not tx or not rx:
             raise ConfigError("codebook needs at least one tx and one rx angle")
         for a in tx + rx:
@@ -120,104 +127,45 @@ def array_factor(
     return complex(np.mean(np.exp(1j * 2.0 * np.pi * m * spacing * u)))
 
 
-def _path_coefficient(
-    amplitude: float,
-    range_m: float,
-    bearing_deg: float | None,
-    codebook: BeamCodebook,
-    tx_deg: float,
-    rx_deg: float,
-    scs_hz: float,
-    n_subcarriers: int,
-) -> np.ndarray:
-    """Per-subcarrier complex channel of a single path.
-
-    bearing_deg None means unit beam gains (leakage path).
-    """
-    gain = amplitude
-    if bearing_deg is not None:
-        g_tx = array_factor(
-            tx_deg, bearing_deg, codebook.n_elements,
-            codebook.element_spacing_wavelengths,
-        )
-        g_rx = array_factor(
-            rx_deg, bearing_deg, codebook.n_elements,
-            codebook.element_spacing_wavelengths,
-        )
-        gain = amplitude * g_tx * g_rx
-    tau = 2.0 * range_m / C_LIGHT
-    k = np.arange(n_subcarriers)
-    return gain * np.exp(-1j * 2.0 * np.pi * k * scs_hz * tau)
-
-
 def channel_response(
     scene: SceneConfig,
     codebook: BeamCodebook,
     tx_idx: int,
-    rx_idx: int,
     n_subcarriers: int,
     scs_hz: float,
-    t_s: float = 0.0,
 ) -> np.ndarray:
-    """Noiseless per-subcarrier channel for one beam pair."""
+    """Noiseless per-subcarrier channel from tx beam tx_idx to every rx
+    beam, [n_rx x n_subcarriers].
+
+    H[rx, k] = sum_p a_p G_tx[p] G_rx[p] exp(-j 2 pi k scs tau_p), summed
+    over the targets and then the leakage path, which has unit beam
+    gains.
+    """
     if not 0 <= tx_idx < len(codebook.tx_angles_deg):
         raise ConfigError(f"tx_idx {tx_idx} out of range")
-    if not 0 <= rx_idx < len(codebook.rx_angles_deg):
-        raise ConfigError(f"rx_idx {rx_idx} out of range")
     tx_deg = codebook.tx_angles_deg[tx_idx]
-    rx_deg = codebook.rx_angles_deg[rx_idx]
+    n, spacing = codebook.n_elements, codebook.element_spacing_wavelengths
+    k = np.arange(n_subcarriers)
 
-    h = np.zeros(n_subcarriers, dtype=np.complex128)
-    for target in scene.targets:
-        x, y = target.at(t_s)
-        r = float(np.hypot(x, y))
-        bearing = float(np.degrees(np.arctan2(x, y)))
-        h += _path_coefficient(
-            target.reflectivity, r, bearing, codebook, tx_deg, rx_deg,
-            scs_hz, n_subcarriers,
-        )
-    if scene.leakage_amplitude > 0:
-        h += _path_coefficient(
-            scene.leakage_amplitude, scene.leakage_range_m, None,
-            codebook, tx_deg, rx_deg, scs_hz, n_subcarriers,
-        )
-    return h
+    def ramp(range_m: float) -> np.ndarray:
+        tau = 2.0 * range_m / C_LIGHT
+        return np.exp(-1j * 2.0 * np.pi * k * scs_hz * tau)
 
-
-def propagate(
-    grid: ResourceGrid,
-    scene: SceneConfig,
-    codebook: BeamCodebook,
-    tx_idx: int,
-    rx_idx: int,
-    t_s: float = 0.0,
-    sweep_index: int = 0,
-) -> np.ndarray:
-    """Received frequency-domain grid for one beam pair.
-
-    Y[k, l] = sum_p a_p G_tx G_rx X[k, l] exp(-j 2 pi k scs tau_p) + W,
-    with complex AWGN of variance scene.noise_power.  Noise is derived
-    from (seed, sweep_index, tx_idx, rx_idx) so beam pairs can be
-    computed in any order or in parallel with identical results.
-    """
-    cfg = grid.config
-    h = channel_response(
-        scene, codebook, tx_idx, rx_idx,
-        cfg.active_subcarriers, cfg.scs_hz, t_s,
+    h = np.zeros(
+        (len(codebook.rx_angles_deg), n_subcarriers), dtype=np.complex128
     )
-    rx = grid.data * h[:, None]
-    if scene.noise_power > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=scene.seed, spawn_key=(sweep_index, tx_idx, rx_idx)
-            )
-        )
-        scale = np.sqrt(scene.noise_power / 2.0)
-        noise = rng.standard_normal(
-            (cfg.active_subcarriers, cfg.n_symbols, 2)
-        )
-        rx = rx + scale * (noise[..., 0] + 1j * noise[..., 1])
-    return rx
+    for target in scene.targets:
+        x, y = target.pos
+        bearing = float(np.degrees(np.arctan2(x, y)))
+        g_tx = target.reflectivity * array_factor(tx_deg, bearing, n, spacing)
+        gains = np.array([
+            g_tx * array_factor(rx_deg, bearing, n, spacing)
+            for rx_deg in codebook.rx_angles_deg
+        ])
+        h += gains[:, None] * ramp(float(np.hypot(x, y)))
+    if scene.leakage_amplitude > 0:
+        h += scene.leakage_amplitude * ramp(scene.leakage_range_m)
+    return h
 
 
 def advance(scene: SceneConfig, dt_s: float) -> SceneConfig:

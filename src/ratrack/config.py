@@ -14,7 +14,7 @@ import yaml
 
 from .channel import BeamCodebook, SceneConfig, TargetTruth, default_codebook
 from .detector import CfarConfig, DbscanConfig
-from .errors import ConfigError
+from .errors import ConfigError, finite_floats, require_int, require_real
 from .receiver import DEFAULT_N_RANGE
 from .tracker import TrackerConfig
 from .waveform import WaveformConfig
@@ -29,8 +29,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_sweeps < 1:
-            raise ConfigError("n_sweeps must be >= 1")
+        require_int("n_sweeps", self.n_sweeps, 1)
+        require_int("n_range", self.n_range, 1)
+        require_real("score_radius_m", self.score_radius_m)
+        taps = finite_floats("mti_taps", self.mti_taps)
+        object.__setattr__(self, "mti_taps", taps)
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class PipelineConfig:
 
 
 def _build(cls, section: dict, name: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"[{name}] must be a mapping, got {section!r}")
     allowed = {f.name for f in fields(cls)}
     unknown = set(section) - allowed
     if unknown:
@@ -73,15 +78,13 @@ def _build_codebook(section: dict) -> BeamCodebook:
 
 def _build_scene(section: dict) -> SceneConfig:
     section = dict(section)
-    targets = tuple(
-        TargetTruth(
-            pos=tuple(t["pos"]),
-            vel=tuple(t.get("vel", (0.0, 0.0))),
-            reflectivity=float(t.get("reflectivity", 1.0)),
-        )
-        for t in section.pop("targets", [])
+    targets = section.pop("targets", [])
+    if not isinstance(targets, list):
+        raise ConfigError(f"scene targets must be a list, got {targets!r}")
+    section["targets"] = tuple(
+        _build(TargetTruth, t, f"scene target {i}")
+        for i, t in enumerate(targets)
     )
-    section["targets"] = targets
     return _build(SceneConfig, section, "scene")
 
 
@@ -91,9 +94,9 @@ def from_dict(doc: dict) -> PipelineConfig:
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown top-level sections: {sorted(unknown)}")
-    run_section = dict(doc.get("run", {}))
-    if "mti_taps" in run_section:
-        run_section["mti_taps"] = tuple(run_section["mti_taps"])
+    for name, section in doc.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"[{name}] must be a mapping, got {section!r}")
     return PipelineConfig(
         waveform=_build(WaveformConfig, doc.get("waveform", {}), "waveform"),
         codebook=(
@@ -105,7 +108,7 @@ def from_dict(doc: dict) -> PipelineConfig:
         cfar=_build(CfarConfig, doc.get("cfar", {}), "cfar"),
         dbscan=_build(DbscanConfig, doc.get("dbscan", {}), "dbscan"),
         tracker=_build(TrackerConfig, doc.get("tracker", {}), "tracker"),
-        run=_build(RunConfig, run_section, "run"),
+        run=_build(RunConfig, doc.get("run", {}), "run"),
     )
 
 

@@ -8,7 +8,6 @@ angle axes are clustered afterwards by DBSCAN.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -17,7 +16,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, StreamError
+from .errors import ConfigError, StreamError, require_int, require_real
 from .receiver import RaTensor
 
 
@@ -28,10 +27,8 @@ class CfarConfig:
     pfa: float = 1e-3
 
     def __post_init__(self):
-        if self.n_train < 1:
-            raise ConfigError("n_train must be >= 1")
-        if self.n_guard < 0:
-            raise ConfigError("n_guard must be >= 0")
+        require_int("n_train", self.n_train, 1)
+        require_int("n_guard", self.n_guard, 0)
         if not 0.0 < self.pfa < 1.0:
             raise ConfigError("pfa must be in (0, 1)")
 
@@ -154,13 +151,8 @@ class DbscanConfig:
 
     def __post_init__(self):
         for name in ("eps", "range_scale", "tx_scale", "rx_scale"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"{name} must be finite and > 0, got {value}"
-                )
-        if self.min_pts < 1:
-            raise ConfigError("min_pts must be >= 1")
+            require_real(name, getattr(self, name))
+        require_int("min_pts", self.min_pts, 1)
 
 
 def dbscan(

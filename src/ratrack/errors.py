@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and the value checks
+that config dataclasses use to raise ConfigError."""
+
+from __future__ import annotations
+
+import math
+from numbers import Integral
 
 
 class RatrackError(Exception):
@@ -35,3 +41,44 @@ class SingularGeometryError(RatrackError):
 
 class NumericalError(RatrackError):
     """A linear-algebra step failed (e.g. non-invertible innovation covariance)."""
+
+
+def require_real(name: str, value, low: float = 0.0, strict: bool = True):
+    """Raise ConfigError unless value is a finite real number > low
+    (>= low when strict is False)."""
+    try:
+        ok = math.isfinite(value) and (value > low if strict else value >= low)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        op = ">" if strict else ">="
+        raise ConfigError(
+            f"{name} must be finite and {op} {low:g}, got {value!r}"
+        )
+
+
+def require_int(name: str, value, low: int):
+    """Raise ConfigError unless value is an integer >= low."""
+    if not (isinstance(value, Integral) and value >= low):
+        raise ConfigError(
+            f"{name} must be an integer >= {low}, got {value!r}"
+        )
+
+
+def finite_floats(name: str, values, length: int | None = None):
+    """values as a tuple of finite floats (exactly length of them, if
+    given); ConfigError otherwise."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if (
+        out is None
+        or (length is not None and len(out) != length)
+        or not all(map(math.isfinite, out))
+    ):
+        count = "" if length is None else f"{length} "
+        raise ConfigError(
+            f"{name} must be a list of {count}finite numbers, got {values!r}"
+        )
+    return out

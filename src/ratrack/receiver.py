@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamCodebook, SceneConfig, channel_response, propagate
+from .channel import BeamCodebook, SceneConfig, channel_response
 from .errors import ConfigError, FrameError
 from .waveform import WaveformConfig, build_grid
 
@@ -45,28 +45,13 @@ class RaTensor:
         return self.power.shape[0]
 
 
-def estimate_channel(rx_grid: np.ndarray, tx_grid: np.ndarray) -> np.ndarray:
-    """Least-squares per-element channel estimate H = Y / X."""
-    if rx_grid.shape != tx_grid.shape:
-        raise FrameError(
-            f"rx grid {rx_grid.shape} vs tx grid {tx_grid.shape}"
-        )
-    return rx_grid / tx_grid
+def range_profile(h_bar: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
+    """Zero-pad each symbol-averaged channel row to fft_size, IDFT, power.
 
-
-def range_profile(H: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
-    """Coherent symbol average, zero-pad to fft_size, IDFT, power.
-
-    Returns the linear power of all fft_size bins, cfg.range_bin_m
-    apart.
-
-    Symbols are averaged before the IFFT: intra-dwell Doppler is zero by
-    construction, so coherent averaging gives the full SNR gain.
+    Takes [..., active_subcarriers] and returns the linear power of all
+    fft_size bins, cfg.range_bin_m apart, along the last axis.
     """
-    h_bar = H.mean(axis=1) if H.ndim == 2 else H
-    padded = np.zeros(cfg.fft_size, dtype=np.complex128)
-    padded[: h_bar.shape[0]] = h_bar
-    return np.abs(np.fft.ifft(padded)) ** 2
+    return np.abs(np.fft.ifft(h_bar, n=cfg.fft_size, axis=-1)) ** 2
 
 
 def sweep(
@@ -80,34 +65,39 @@ def sweep(
 
     The scene is frozen at the sweep start for every beam pair
     (quasi-static within a sweep); the caller advances the scene
-    between sweeps.  One grid is built per sweep and shared by all
-    beam pairs.
+    between sweeps.  Per tx beam, the channel to every rx beam is built
+    at once.  Each pair then receives Y = X H + W with complex AWGN W
+    of variance scene.noise_power, drawn from (seed, sweep_index, tx,
+    rx) so the result does not depend on evaluation order, and is
+    estimated as the symbol average of Y / X: intra-dwell Doppler is
+    zero by construction, so coherent averaging gives the full SNR
+    gain.  Without noise that estimate is the channel itself.
     """
     if n_range < 1 or n_range > wf_cfg.fft_size:
         raise ConfigError(f"n_range {n_range} outside [1, fft_size]")
-    grid = build_grid(wf_cfg)
+    X = build_grid(wf_cfg).data
     n_tx = len(codebook.tx_angles_deg)
     n_rx = len(codebook.rx_angles_deg)
     power = np.empty((n_range, n_tx, n_rx), dtype=np.float32)
+    shape = (wf_cfg.active_subcarriers, wf_cfg.n_symbols, 2)
+    scale = np.sqrt(scene.noise_power / 2.0)
 
-    noiseless = scene.noise_power == 0
     for ti in range(n_tx):
-        for ri in range(n_rx):
-            if noiseless:
-                # H is the channel itself; skip the grid multiply/divide.
-                h = channel_response(
-                    scene, codebook, ti, ri,
-                    wf_cfg.active_subcarriers, wf_cfg.scs_hz,
+        h_bar = channel_response(
+            scene, codebook, ti, wf_cfg.active_subcarriers, wf_cfg.scs_hz,
+        )
+        if scene.noise_power > 0:
+            for ri in range(n_rx):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(
+                        entropy=scene.seed, spawn_key=(sweep_index, ti, ri)
+                    )
                 )
-                profile = range_profile(h, wf_cfg)
-            else:
-                rx = propagate(
-                    grid, scene, codebook, ti, ri,
-                    sweep_index=sweep_index,
-                )
-                H = estimate_channel(rx, grid.data)
-                profile = range_profile(H, wf_cfg)
-            power[:, ti, ri] = profile[:n_range].astype(np.float32)
+                w = rng.standard_normal(shape)
+                W = scale * (w[..., 0] + 1j * w[..., 1])
+                Y = X * h_bar[ri][:, None] + W
+                h_bar[ri] = (Y / X).mean(axis=1)
+        power[:, ti, :] = range_profile(h_bar, wf_cfg)[:, :n_range].T
 
     return RaTensor(
         power=power,

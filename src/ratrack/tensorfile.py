@@ -8,8 +8,9 @@ Layout, all little-endian:
              | f32 payload[n_range * n_tx * n_rx], range-major then tx
              then rx (C order of [range, tx, rx])
 
-Truncated or malformed input is rejected with the offending byte
-offset; a partial sweep is never yielded.
+Truncated or malformed input, including a non-finite payload value, is
+rejected with the offending byte offset; a partial sweep is never
+yielded.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ VERSION = 1
 
 _HEADER_FIXED = struct.Struct("<4sHIIId")
 _SWEEP_HEADER = struct.Struct("<Qd")
+_MAX_READ = 1 << 20
 
 
 class TensorWriter:
@@ -70,6 +72,21 @@ class TensorWriter:
         )
 
 
+def _read_exact(fh: BinaryIO, n: int, offset: int, what: str) -> bytes:
+    """Read exactly n bytes, at most _MAX_READ per call, so memory grows
+    with the bytes that arrive rather than with a size the header
+    claims; FormatError(what) at the offset reached if the input ends."""
+    chunks = []
+    got = 0
+    while got < n:
+        chunk = fh.read(min(n - got, _MAX_READ))
+        if not chunk:
+            raise FormatError(what, offset + got)
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
 def read_header(fh: BinaryIO):
     """Parse and validate the file header.
 
@@ -86,9 +103,7 @@ def read_header(fh: BinaryIO):
     offset = _HEADER_FIXED.size
     tables = []
     for count in (n_tx, n_rx):
-        raw = fh.read(4 * count)
-        if len(raw) < 4 * count:
-            raise FormatError("truncated angle table", offset + len(raw))
+        raw = _read_exact(fh, 4 * count, offset, "truncated angle table")
         tables.append(tuple(float(a) for a in np.frombuffer(raw, dtype="<f4")))
         offset += 4 * count
     return n_range, tables[0], tables[1], bin_size, offset
@@ -107,22 +122,24 @@ def read_sweeps(fh: BinaryIO) -> Iterator[RaTensor]:
             raise FormatError("truncated sweep header", offset + len(raw))
         sweep_index, t_start = _SWEEP_HEADER.unpack(raw)
         offset += _SWEEP_HEADER.size
-        payload = fh.read(payload_len)
-        if len(payload) < payload_len:
-            raise FormatError(
-                f"truncated payload for sweep {sweep_index}",
-                offset + len(payload),
-            )
+        payload = _read_exact(
+            fh, payload_len, offset,
+            f"truncated payload for sweep {sweep_index}",
+        )
         if last_index is not None and sweep_index <= last_index:
             raise FormatError(
                 f"sweep_index not increasing at sweep {sweep_index}",
                 offset - _SWEEP_HEADER.size,
             )
         last_index = sweep_index
-        offset += payload_len
         power = np.frombuffer(payload, dtype="<f4").reshape(
             n_range, len(tx_angles), len(rx_angles)
         )
+        if not np.isfinite(power).all():
+            raise FormatError(
+                f"non-finite payload value in sweep {sweep_index}", offset
+            )
+        offset += payload_len
         yield RaTensor(
             power=power.copy(),
             tx_angles_deg=tx_angles,

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigError, NumericalError, SingularGeometryError, StreamError
+from .errors import (
+    ConfigError,
+    NumericalError,
+    SingularGeometryError,
+    StreamError,
+    require_int,
+    require_real,
+)
 
 
 class TrackStatus(enum.Enum):
@@ -41,18 +48,10 @@ class TrackerConfig:
     def __post_init__(self):
         for name in ("q_accel", "r_range_var", "r_angle_var", "gate_m",
                      "p0_pos_var", "p0_vel_var"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(
-                    f"{name} must be finite and > 0, got {value}"
-                )
+            require_real(name, getattr(self, name))
         for name, low in (("confirm_m", 1), ("confirm_n", 1),
                           ("max_misses", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise ConfigError(
-                    f"{name} must be an integer >= {low}, got {value}"
-                )
+            require_int(name, getattr(self, name), low)
         if self.confirm_m > self.confirm_n:
             raise ConfigError("confirm_m must be <= confirm_n")
 

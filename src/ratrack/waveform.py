@@ -1,9 +1,8 @@
-"""OFDM transmit grid generation and CP-OFDM (de)modulation.
+"""OFDM transmit grid generation.
 
 The transmit payload is uniform random QPSK on every active subcarrier:
 the sensing receiver only needs a *known* unit-magnitude grid to divide
-out.  All DFTs use the unitary scaling convention (1/sqrt(N) both ways)
-so energy bookkeeping is symmetric.
+out.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FrameError
+from .errors import ConfigError, FrameError, require_int, require_real
 
 C_LIGHT = 299_792_458.0
 
@@ -39,12 +38,11 @@ class WaveformConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_rb < 1 or self.n_symbols < 1 or self.fft_size < 1:
-            raise ConfigError("n_rb, n_symbols and fft_size must be positive")
-        if self.cp_len < 0:
-            raise ConfigError("cp_len must be >= 0")
-        if self.scs_hz <= 0:
-            raise ConfigError("scs_hz must be > 0")
+        for name, low in (("n_rb", 1), ("n_symbols", 1), ("fft_size", 1),
+                          ("cp_len", 0), ("seed", 0)):
+            require_int(name, getattr(self, name), low)
+        require_real("scs_hz", self.scs_hz)
+        require_real("carrier_hz", self.carrier_hz)
         if self.active_subcarriers > self.fft_size:
             raise ConfigError(
                 f"12*n_rb = {self.active_subcarriers} exceeds fft_size {self.fft_size}"
@@ -81,48 +79,8 @@ class ResourceGrid:
             raise FrameError(f"grid shape {self.data.shape}, expected {expected}")
 
 
-@dataclass(frozen=True)
-class IqFrame:
-    """Time-domain samples for one dwell: n_symbols * (fft_size + cp_len)."""
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-
 def build_grid(cfg: WaveformConfig) -> ResourceGrid:
     """Draw a uniform random QPSK grid, deterministic per cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
     idx = rng.integers(0, 4, size=(cfg.active_subcarriers, cfg.n_symbols))
     return ResourceGrid(data=QPSK_ALPHABET[idx], config=cfg)
-
-
-def _subcarrier_map(cfg: WaveformConfig) -> np.ndarray:
-    """FFT-bin index of each active subcarrier (centered around DC)."""
-    k = np.arange(cfg.active_subcarriers) - cfg.active_subcarriers // 2
-    return np.mod(k, cfg.fft_size)
-
-
-def modulate(grid: ResourceGrid) -> IqFrame:
-    """CP-OFDM modulation: per-symbol unitary IDFT plus cyclic prefix."""
-    cfg = grid.config
-    spectrum = np.zeros((cfg.fft_size, cfg.n_symbols), dtype=np.complex128)
-    spectrum[_subcarrier_map(cfg), :] = grid.data
-    body = np.fft.ifft(spectrum, axis=0, norm="ortho")
-    if cfg.cp_len > 0:
-        body = np.concatenate([body[-cfg.cp_len :, :], body], axis=0)
-    return IqFrame(
-        samples=body.T.reshape(-1), sample_rate_hz=cfg.sample_rate_hz
-    )
-
-
-def demodulate(frame: IqFrame, cfg: WaveformConfig) -> ResourceGrid:
-    """Inverse of :func:`modulate`: strip CP, unitary DFT, extract actives."""
-    sym_len = cfg.fft_size + cfg.cp_len
-    expected = cfg.n_symbols * sym_len
-    if frame.samples.shape != (expected,):
-        raise FrameError(
-            f"frame length {frame.samples.shape}, expected ({expected},)"
-        )
-    body = frame.samples.reshape(cfg.n_symbols, sym_len)[:, cfg.cp_len :].T
-    spectrum = np.fft.fft(body, axis=0, norm="ortho")
-    return ResourceGrid(data=spectrum[_subcarrier_map(cfg), :], config=cfg)

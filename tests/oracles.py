@@ -2,8 +2,11 @@
 
 import itertools
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
+
+from ratrack import FrameError, ResourceGrid, WaveformConfig
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -119,3 +122,52 @@ def finite_difference_jacobian(fn, x: np.ndarray, step: float = 1e-6):
         lo[i] -= step
         J[:, i] = (np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2 * step)
     return J
+
+
+# -- CP-OFDM time-domain reference --------------------------------------
+#
+# The simulator works in the frequency domain: it never builds samples,
+# and models a path's delay as a phase ramp across subcarriers.  These
+# functions are the time-domain transceiver that shortcut stands in for,
+# with the unitary DFT convention (1/sqrt(N) both ways) so energy
+# bookkeeping is symmetric.
+
+
+@dataclass(frozen=True)
+class IqFrame:
+    """Time-domain samples for one dwell: n_symbols * (fft_size + cp_len)."""
+
+    samples: np.ndarray
+    sample_rate_hz: float
+
+
+def _subcarrier_map(cfg: WaveformConfig) -> np.ndarray:
+    """FFT-bin index of each active subcarrier (centered around DC)."""
+    k = np.arange(cfg.active_subcarriers) - cfg.active_subcarriers // 2
+    return np.mod(k, cfg.fft_size)
+
+
+def modulate(grid: ResourceGrid) -> IqFrame:
+    """CP-OFDM modulation: per-symbol unitary IDFT plus cyclic prefix."""
+    cfg = grid.config
+    spectrum = np.zeros((cfg.fft_size, cfg.n_symbols), dtype=np.complex128)
+    spectrum[_subcarrier_map(cfg), :] = grid.data
+    body = np.fft.ifft(spectrum, axis=0, norm="ortho")
+    if cfg.cp_len > 0:
+        body = np.concatenate([body[-cfg.cp_len :, :], body], axis=0)
+    return IqFrame(
+        samples=body.T.reshape(-1), sample_rate_hz=cfg.sample_rate_hz
+    )
+
+
+def demodulate(frame: IqFrame, cfg: WaveformConfig) -> ResourceGrid:
+    """Inverse of :func:`modulate`: strip CP, unitary DFT, extract actives."""
+    sym_len = cfg.fft_size + cfg.cp_len
+    expected = cfg.n_symbols * sym_len
+    if frame.samples.shape != (expected,):
+        raise FrameError(
+            f"frame length {frame.samples.shape}, expected ({expected},)"
+        )
+    body = frame.samples.reshape(cfg.n_symbols, sym_len)[:, cfg.cp_len :].T
+    spectrum = np.fft.fft(body, axis=0, norm="ortho")
+    return ResourceGrid(data=spectrum[_subcarrier_map(cfg), :], config=cfg)

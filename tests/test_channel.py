@@ -8,8 +8,6 @@ from ratrack import (
     TargetTruth,
     advance,
     array_factor,
-    build_grid,
-    propagate,
 )
 from ratrack.channel import channel_response
 from ratrack.waveform import C_LIGHT
@@ -48,59 +46,66 @@ def test_array_factor_magnitude_bounded():
         assert abs(array_factor(s, t)) <= 1.0 + 1e-12
 
 
-def test_empty_scene_zero(wf_small, boresight_codebook):
-    grid = build_grid(wf_small)
-    rx = propagate(grid, SceneConfig(), boresight_codebook, 0, 0)
-    assert np.all(rx == 0)
+def test_empty_scene_zero(wf_small, small_codebook):
+    h = channel_response(
+        SceneConfig(), small_codebook, 2, 144, wf_small.scs_hz
+    )
+    assert h.shape == (5, 144)
+    assert np.all(h == 0)
 
 
 def test_single_path_magnitude_and_phase(wf_small, boresight_codebook):
     r = 50.0
-    grid = build_grid(wf_small)
-    rx = propagate(
-        grid, single_target_scene(r), boresight_codebook, 0, 0
-    )
-    ratio = rx / grid.data
-    assert np.allclose(np.abs(ratio), 1.0)
+    h = channel_response(
+        single_target_scene(r), boresight_codebook, 0,
+        wf_small.active_subcarriers, wf_small.scs_hz,
+    )[0]
+    assert np.allclose(np.abs(h), 1.0)
     # linear phase slope -2 pi scs 2r/c per subcarrier
     tau = 2 * r / C_LIGHT
-    slope = np.angle(ratio[1, 0] / ratio[0, 0])
+    slope = np.angle(h[1] / h[0])
     expected = -2 * np.pi * wf_small.scs_hz * tau
     assert slope == pytest.approx(expected, rel=1e-9)
 
 
-def test_superposition(wf_small, boresight_codebook):
-    grid = build_grid(wf_small)
-    a = single_target_scene(20.0)
+def test_superposition(wf_small, small_codebook):
+    a = single_target_scene(20.0, leakage_amplitude=2.0)
     b = single_target_scene(35.0, bearing_deg=3.0)
-    both = SceneConfig(targets=a.targets + b.targets)
-    rx_a = propagate(grid, a, boresight_codebook, 0, 0)
-    rx_b = propagate(grid, b, boresight_codebook, 0, 0)
-    rx_ab = propagate(grid, both, boresight_codebook, 0, 0)
-    assert np.allclose(rx_ab, rx_a + rx_b)
+    both = SceneConfig(targets=a.targets + b.targets, leakage_amplitude=2.0)
+
+    def h(scene, tx_idx):
+        return channel_response(scene, small_codebook, tx_idx, 144, 120e3)
+
+    for tx_idx in range(5):
+        assert np.allclose(h(both, tx_idx), h(a, tx_idx) + h(b, tx_idx))
 
 
-def test_propagate_index_out_of_range(wf_small, boresight_codebook):
-    grid = build_grid(wf_small)
-    with pytest.raises(ConfigError):
-        propagate(grid, SceneConfig(), boresight_codebook, 1, 0)
+def test_channel_response_index_out_of_range(boresight_codebook):
+    for tx_idx in (-1, 1):
+        with pytest.raises(ConfigError):
+            channel_response(SceneConfig(), boresight_codebook, tx_idx, 8, 1.0)
 
 
-def test_propagate_noise_deterministic(wf_small, boresight_codebook):
-    grid = build_grid(wf_small)
-    scene = single_target_scene(30.0, noise_power=0.5, seed=11)
-    a = propagate(grid, scene, boresight_codebook, 0, 0, sweep_index=4)
-    b = propagate(grid, scene, boresight_codebook, 0, 0, sweep_index=4)
-    c = propagate(grid, scene, boresight_codebook, 0, 0, sweep_index=5)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_channel_response_rows_are_rx_beams(wf_small):
+    # row r is the pair (tx_idx, rx beam r)
+    codebook = BeamCodebook(
+        tx_angles_deg=(-10.0, 5.0), rx_angles_deg=(-20.0, 0.0, 4.0)
+    )
+    r = 25.0
+    scene = single_target_scene(r, bearing_deg=4.0)
+    h = channel_response(scene, codebook, 1, 144, wf_small.scs_hz)
+    k = np.arange(144)
+    ramp = np.exp(-1j * 2 * np.pi * k * wf_small.scs_hz * 2 * r / C_LIGHT)
+    for row, rx_deg in zip(h, codebook.rx_angles_deg):
+        gain = array_factor(5.0, 4.0) * array_factor(rx_deg, 4.0)
+        assert np.allclose(row, gain * ramp)
 
 
 def test_quasi_static_within_sweep(wf_small, small_codebook):
     # a moving target's delay is identical for every beam pair of a sweep
     scene = single_target_scene(25.0, vel=(0.0, 3.0))
-    h1 = channel_response(scene, small_codebook, 0, 1, 144, wf_small.scs_hz)
-    h2 = channel_response(scene, small_codebook, 3, 4, 144, wf_small.scs_hz)
+    h1 = channel_response(scene, small_codebook, 0, 144, wf_small.scs_hz)[1]
+    h2 = channel_response(scene, small_codebook, 3, 144, wf_small.scs_hz)[4]
     # same phase ramp (delay), different complex gain
     slope1 = np.angle(h1[1] / h1[0])
     slope2 = np.angle(h2[1] / h2[0])

@@ -1,9 +1,11 @@
 import hashlib
 import io
 import os
+import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +125,109 @@ def test_cli_nan_codebook_step_exit_code(tmp_path):
     assert main(["e2e", "--config", str(p), "--out", str(tmp_path)]) == 2
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def scene_with_target(**target):
+    return {"scene": {"targets": [target]}}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"scene": {"noise_power": NAN}},
+        {"scene": {"noise_power": INF}},
+        {"scene": {"noise_power": -1.0}},
+        {"scene": {"sweep_period_s": NAN}},
+        {"scene": {"leakage_amplitude": -1.0}},
+        {"scene": {"leakage_amplitude": NAN}},
+        {"scene": {"leakage_range_m": NAN}},
+        {"scene": {"seed": -1}},
+        {"scene": {"seed": 1.5}},
+        {"scene": {"targets": None}},
+        {"scene": {"targets": [[0.0, 10.0]]}},
+        scene_with_target(pos=[NAN, 10.0]),
+        scene_with_target(pos=[0.0, NAN]),
+        scene_with_target(pos=[0.0, 10.0, 1.0]),
+        scene_with_target(pos=[10.0]),
+        scene_with_target(pos=10.0),
+        scene_with_target(pos="ab"),
+        scene_with_target(vel=[0.0, 1.0]),
+        scene_with_target(pos=[0.0, 10.0], vel=[INF, 0.0]),
+        scene_with_target(pos=[0.0, 10.0], reflectivity=NAN),
+        scene_with_target(pos=[0.0, 10.0], rcs=1.0),
+        {"waveform": {"scs_hz": NAN}},
+        {"waveform": {"carrier_hz": NAN}},
+        {"waveform": {"n_rb": 2.5}},
+        {"waveform": {"n_symbols": 0}},
+        {"waveform": {"seed": -3}},
+        {"codebook": {"span_deg": 10.0, "n_elements": 0}},
+        {"codebook": {"span_deg": 10.0, "n_elements": 2.5}},
+        {"codebook": {"span_deg": 10.0, "element_spacing_wavelengths": NAN}},
+        {"codebook": {"tx_angles_deg": ["ab"], "rx_angles_deg": [0.0]}},
+        {"scene": [1.0]},
+        {"codebook": [1.0]},
+    ],
+)
+def test_simulator_input_rejected(doc):
+    with pytest.raises(ConfigError):
+        from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"run": {"score_radius_m": NAN}},
+        {"run": {"score_radius_m": INF}},
+        {"run": {"score_radius_m": 0.0}},
+        {"run": {"score_radius_m": -1.0}},
+        {"run": {"mti_taps": "ab"}},
+        {"run": {"mti_taps": 5}},
+        {"run": {"mti_taps": [1.0, NAN]}},
+        {"run": {"n_sweeps": 2.5}},
+        {"run": {"n_range": 0}},
+        {"dbscan": {"min_pts": NAN}},
+        {"dbscan": {"min_pts": 2.5}},
+        {"dbscan": {"min_pts": 0}},
+        {"cfar": {"n_train": 2.5}},
+    ],
+)
+def test_run_and_dbscan_input_rejected(doc):
+    with pytest.raises(ConfigError):
+        from_dict(doc)
+
+
+def test_simulator_input_edges_accepted():
+    cfg = from_dict({
+        "scene": {
+            "targets": [{"pos": [0, 5], "vel": (1, 0), "reflectivity": 2}],
+            "noise_power": 0, "leakage_amplitude": 0, "leakage_range_m": 0,
+        },
+        "run": {"mti_taps": [1, -2, 1], "score_radius_m": 1e-3},
+        "dbscan": {"min_pts": 1},
+    })
+    target = cfg.scene.targets[0]
+    assert target.pos == (0.0, 5.0) and target.vel == (1.0, 0.0)
+    assert cfg.run.mti_taps == (1.0, -2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [
+        "{targets: [{vel: [0, 1]}]}",
+        "{targets: [{pos: [5.0]}]}",
+        "{targets: [{pos: ab}]}",
+        "{targets: [7]}",
+        "{noise_power: .nan}",
+    ],
+)
+def test_cli_bad_scene_exit_code(tmp_path, capsys, scene):
+    p = tmp_path / "bad.yaml"
+    p.write_text(f"scene: {scene}\n")
+    assert main(["e2e", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # -------------------------------------------------------- tensor file
 
 
@@ -179,6 +284,53 @@ def test_truncated_payload_offset():
     with pytest.raises(FormatError) as exc:
         list(read_sweeps(io.BytesIO(data[:cut])))
     assert exc.value.offset == cut
+
+
+def test_header_huge_count_reads_bounded(tmp_path):
+    # a 26-byte fixed header claiming 2^32 - 1 tx angles (16 GiB) and
+    # nothing after it: memory must follow the bytes that arrive
+    p = tmp_path / "claims.ratn"
+    p.write_bytes(struct.pack("<4sHIIId", b"RATN", 1, 512, 2**32 - 1, 21, 0.3))
+    tracemalloc.start()
+    try:
+        with open(p, "rb") as fh, pytest.raises(FormatError) as exc:
+            read_header(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.offset == 26
+    assert peak < 16 * 2**20
+
+
+def test_payload_over_read_chunk_round_trip():
+    # 600 x 21 x 21 float32 is just over the 1 MiB read chunk
+    tensors = [small_tensor(k, (600, 21, 21)) for k in range(2)]
+    data = write_file(tensors)
+    back = list(read_sweeps(io.BytesIO(data)))
+    assert all(np.array_equal(a.power, b.power) for a, b in zip(tensors, back))
+    cut = len(data) - 5
+    with pytest.raises(FormatError) as exc:
+        list(read_sweeps(io.BytesIO(data[:cut])))
+    assert exc.value.offset == cut
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_payload_rejected(tmp_path, value):
+    tensors = [small_tensor(k) for k in range(3)]
+    tensors[1].power[7, 1, 2] = value
+    data = write_file(tensors)
+    reader = read_sweeps(io.BytesIO(data))
+    assert next(reader).sweep_index == 0
+    with pytest.raises(FormatError, match="sweep 1"):
+        next(reader)
+    bad = tmp_path / "bad.ratn"
+    bad.write_bytes(data)
+    cfgp = write_config(tmp_path, SMALL_CONFIG)
+    rc = main([
+        "track", "--tensors", str(bad), "--config", cfgp,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert rc == 3
 
 
 def test_writer_rejects_dim_mismatch():

@@ -1,64 +1,53 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ratrack import (
     BeamCodebook,
     ConfigError,
-    FrameError,
     SceneConfig,
     TargetTruth,
-    WaveformConfig,
-    build_grid,
-    estimate_channel,
-    propagate,
     range_profile,
     sweep,
 )
+from ratrack.config import from_dict
 from ratrack.waveform import C_LIGHT
 
-from conftest import single_target_scene
+from conftest import E2E_SCENARIO, single_target_scene
 
 
 def expected_bin(range_m, cfg):
     return round(2 * range_m / C_LIGHT * cfg.scs_hz * cfg.fft_size)
 
 
-def test_estimate_channel_identity(wf_small):
-    grid = build_grid(wf_small)
-    H = estimate_channel(grid.data, grid.data)
-    assert np.allclose(H, 1.0)
-
-
-def test_estimate_channel_scalar(wf_small):
-    grid = build_grid(wf_small)
-    H = estimate_channel(2j * grid.data, grid.data)
-    assert np.allclose(H, 2j)
-
-
-def test_estimate_channel_dim_mismatch(wf_small):
-    grid = build_grid(wf_small)
-    with pytest.raises(FrameError):
-        estimate_channel(grid.data[:, :2], grid.data)
-
-
-def test_estimate_channel_single_path(wf_small, boresight_codebook):
-    grid = build_grid(wf_small)
-    rx = propagate(grid, single_target_scene(40.0), boresight_codebook, 0, 0)
-    H = estimate_channel(rx, grid.data)
-    # independent of symbol index
-    assert np.allclose(H, H[:, [0]])
+def test_sweep_noiseless_single_path(wf_small, boresight_codebook):
+    # without noise the channel estimate is the path's phase ramp itself
+    t = sweep(
+        single_target_scene(40.0), boresight_codebook, wf_small, 0,
+        n_range=wf_small.fft_size,
+    )
     tau = 2 * 40.0 / C_LIGHT
     k = np.arange(wf_small.active_subcarriers)
-    assert np.allclose(
-        H[:, 0], np.exp(-1j * 2 * np.pi * k * wf_small.scs_hz * tau)
-    )
+    ramp = np.exp(-1j * 2 * np.pi * k * wf_small.scs_hz * tau)
+    expected = np.abs(np.fft.ifft(ramp, n=wf_small.fft_size)) ** 2
+    assert np.allclose(t.power[:, 0, 0], expected, rtol=1e-6, atol=1e-12)
+
+
+def test_sweep_noise_deterministic(wf_small, small_codebook):
+    scene = single_target_scene(30.0, noise_power=0.5, seed=11)
+    a = sweep(scene, small_codebook, wf_small, 4, n_range=64).power
+    b = sweep(scene, small_codebook, wf_small, 4, n_range=64).power
+    c = sweep(scene, small_codebook, wf_small, 5, n_range=64).power
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_range_profile_peak_at_50m(wf_paper):
     tau = 2 * 50.0 / C_LIGHT
     k = np.arange(wf_paper.active_subcarriers)
-    H = np.exp(-1j * 2 * np.pi * k * wf_paper.scs_hz * tau)[:, None]
-    power = range_profile(H, wf_paper)
+    h = np.exp(-1j * 2 * np.pi * k * wf_paper.scs_hz * tau)
+    power = range_profile(h, wf_paper)
     bin_m = wf_paper.range_bin_m
     assert np.argmax(power) == 164
     assert bin_m == pytest.approx(0.30496, abs=1e-4)
@@ -66,16 +55,26 @@ def test_range_profile_peak_at_50m(wf_paper):
 
 
 def test_range_profile_zero_delay(wf_small):
-    H = np.ones((wf_small.active_subcarriers, 2), dtype=complex)
-    assert np.argmax(range_profile(H, wf_small)) == 0
+    h = np.ones(wf_small.active_subcarriers, dtype=complex)
+    assert np.argmax(range_profile(h, wf_small)) == 0
 
 
 def test_range_profile_homogeneity(wf_small):
     rng = np.random.default_rng(3)
-    H = rng.standard_normal((144, 2)) + 1j * rng.standard_normal((144, 2))
+    H = rng.standard_normal((2, 144)) + 1j * rng.standard_normal((2, 144))
     p1 = range_profile(H, wf_small)
     p9 = range_profile(3 * H, wf_small)
     assert np.allclose(p9, 9 * p1)
+
+
+def test_range_profile_rows_match_single_rows(wf_small):
+    # the batched transform of a tx row is bit-identical per rx beam
+    rng = np.random.default_rng(4)
+    H = rng.standard_normal((5, 144)) + 1j * rng.standard_normal((5, 144))
+    batch = range_profile(H, wf_small)
+    assert batch.shape == (5, wf_small.fft_size)
+    for row, h in zip(batch, H):
+        assert np.array_equal(row, range_profile(h, wf_small))
 
 
 def test_sweep_dims_and_beam_count(wf_small):
@@ -170,3 +169,44 @@ def test_tensor_transpose_symmetry(wf_small):
         wf_small, 0, n_range=64,
     )
     assert np.allclose(t_ab.power, np.transpose(t_ba.power, (0, 2, 1)))
+
+
+# SHA-256 of sweep(...).power.tobytes(): the simulator's output bytes must
+# not move when its internals are restructured
+TENSOR_DIGESTS = {
+    "noisy":
+        "d597ca6be1348f8a9ec1655dded73c58d93e498378b9559f87d38034e6df4150",
+    "noiseless":
+        "5a71cd8420bf27beacf356712720734f985a1c28ead815d871749e31dac0025d",
+    "e2e":
+        "a9e0b6ae0492dc0e07faa8b3e078964358cab13a8ee2cd42f5d873b6923dd30d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TENSOR_DIGESTS))
+def test_sweep_tensor_digest(case, wf_small):
+    digest = hashlib.sha256()
+    if case == "e2e":
+        cfg = from_dict(E2E_SCENARIO)
+        digest.update(sweep(
+            cfg.scene, cfg.codebook, cfg.waveform, 0, n_range=cfg.run.n_range,
+        ).power.tobytes())
+    else:
+        # non-square codebook, unequal targets, leakage
+        codebook = BeamCodebook(
+            tx_angles_deg=(-10.0, 0.0, 7.5), rx_angles_deg=(-3.0, 4.0)
+        )
+        scene = SceneConfig(
+            targets=(
+                TargetTruth(pos=(-2.0, 15.0)),
+                TargetTruth(pos=(4.0, 30.0), reflectivity=0.3),
+            ),
+            leakage_amplitude=5.0,
+            noise_power=0.01 if case == "noisy" else 0.0,
+            seed=9,
+        )
+        for k in range(4):
+            digest.update(
+                sweep(scene, codebook, wf_small, k, n_range=64).power.tobytes()
+            )
+    assert digest.hexdigest() == TENSOR_DIGESTS[case]

@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from ratrack import (
     ConfigError,
     FrameError,
-    IqFrame,
+    SceneConfig,
+    TargetTruth,
     WaveformConfig,
     build_grid,
-    demodulate,
-    modulate,
 )
-from ratrack.waveform import QPSK_ALPHABET
+from ratrack.channel import channel_response
+from ratrack.waveform import C_LIGHT, QPSK_ALPHABET
+
+from oracles import IqFrame, demodulate, modulate
 
 
 def test_paper_numerology():
@@ -133,9 +135,11 @@ def test_parseval_with_cp(wf_small):
     )
 
 
-def test_cyclic_delay_phase_ramp(wf_small):
-    # cyclic delay of d samples rotates subcarrier at signed FFT bin k'
-    # by exp(-j 2 pi k' d / N)
+def test_cyclic_delay_phase_ramp(wf_small, boresight_codebook):
+    # CP-OFDM modulate -> circular delay of d samples -> demodulate equals
+    # the simulator's frequency-domain model of a boresight target at the
+    # range of that delay, up to the constant phase exp(j 2 pi (K//2) d / N)
+    # that the centred subcarrier map puts on bin 0
     cfg = wf_small
     grid = build_grid(cfg)
     frame = modulate(grid)
@@ -150,11 +154,14 @@ def test_cyclic_delay_phase_ramp(wf_small):
         IqFrame(samples=shifted.reshape(-1), sample_rate_hz=frame.sample_rate_hz),
         cfg,
     )
-    k_signed = np.arange(cfg.active_subcarriers) - cfg.active_subcarriers // 2
-    expected = grid.data * np.exp(
-        -1j * 2 * np.pi * k_signed[:, None] * d / cfg.fft_size
-    )
-    assert np.max(np.abs(back.data - expected)) < 1e-9
+    range_m = d * C_LIGHT / (2 * cfg.sample_rate_hz)
+    scene = SceneConfig(targets=(TargetTruth(pos=(0.0, range_m)),))
+    h = channel_response(
+        scene, boresight_codebook, 0, cfg.active_subcarriers, cfg.scs_hz
+    )[0]
+    K = cfg.active_subcarriers
+    h = h * np.exp(1j * 2 * np.pi * (K // 2) * d / cfg.fft_size)
+    assert np.max(np.abs(back.data - grid.data * h[:, None])) < 1e-9
 
 
 def test_demodulate_length_mismatch(wf_small):
