@@ -26,7 +26,6 @@ class RunConfig:
     n_range: int = DEFAULT_N_RANGE
     mti_taps: tuple[float, ...] = (1.0, -1.0)
     score_radius_m: float = 2.0
-    seed: int = 0
 
     def __post_init__(self):
         require_int("n_sweeps", self.n_sweeps, 1)
@@ -61,15 +60,18 @@ def _build(cls, section: dict, name: str):
 
 
 def _build_codebook(section: dict) -> BeamCodebook:
+    """Angle tables from span/step (default_codebook's, if neither is
+    given) unless the section lists them explicitly."""
     section = dict(section)
     span_step = {
         k: section.pop(k) for k in ("span_deg", "step_deg") if k in section
     }
-    if span_step:
-        if "tx_angles_deg" in section or "rx_angles_deg" in section:
-            raise ConfigError(
-                "codebook: give span/step or explicit angle tables, not both"
-            )
+    explicit = "tx_angles_deg" in section or "rx_angles_deg" in section
+    if span_step and explicit:
+        raise ConfigError(
+            "codebook: give span/step or explicit angle tables, not both"
+        )
+    if not explicit:
         book = default_codebook(**span_step)
         section["tx_angles_deg"] = book.tx_angles_deg
         section["rx_angles_deg"] = book.rx_angles_deg
@@ -99,11 +101,7 @@ def from_dict(doc: dict) -> PipelineConfig:
             raise ConfigError(f"[{name}] must be a mapping, got {section!r}")
     return PipelineConfig(
         waveform=_build(WaveformConfig, doc.get("waveform", {}), "waveform"),
-        codebook=(
-            _build_codebook(doc["codebook"])
-            if "codebook" in doc
-            else default_codebook()
-        ),
+        codebook=_build_codebook(doc.get("codebook", {})),
         scene=_build_scene(doc.get("scene", {})),
         cfar=_build(CfarConfig, doc.get("cfar", {}), "cfar"),
         dbscan=_build(DbscanConfig, doc.get("dbscan", {}), "dbscan"),

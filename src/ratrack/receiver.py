@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,15 @@ def range_profile(h_bar: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     return np.abs(np.fft.ifft(h_bar, n=cfg.fft_size, axis=-1)) ** 2
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has
+    one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def sweep(
     scene: SceneConfig,
     codebook: BeamCodebook,
@@ -72,6 +83,11 @@ def sweep(
     estimated as the symbol average of Y / X: intra-dwell Doppler is
     zero by construction, so coherent averaging gives the full SNR
     gain.  Without noise that estimate is the channel itself.
+
+    Tx rows run concurrently, one worker per usable CPU; each row owns
+    its channel, noise streams and buffers and writes only its own
+    slice power[:, tx, :], so the tensor is the same for any worker
+    count and finishing order.
     """
     if n_range < 1 or n_range > wf_cfg.fft_size:
         raise ConfigError(f"n_range {n_range} outside [1, fft_size]")
@@ -82,22 +98,27 @@ def sweep(
     shape = (wf_cfg.active_subcarriers, wf_cfg.n_symbols, 2)
     scale = np.sqrt(scene.noise_power / 2.0)
 
-    for ti in range(n_tx):
+    def row(ti: int) -> None:
         h_bar = channel_response(
             scene, codebook, ti, wf_cfg.active_subcarriers, wf_cfg.scs_hz,
         )
         if scene.noise_power > 0:
+            w = np.empty(shape)
             for ri in range(n_rx):
                 rng = np.random.default_rng(
                     np.random.SeedSequence(
                         entropy=scene.seed, spawn_key=(sweep_index, ti, ri)
                     )
                 )
-                w = rng.standard_normal(shape)
-                W = scale * (w[..., 0] + 1j * w[..., 1])
+                rng.standard_normal(out=w)
+                # (re, im) pairs read as complex: w[..., 0] + 1j w[..., 1]
+                W = scale * w.view(np.complex128)[..., 0]
                 Y = X * h_bar[ri][:, None] + W
                 h_bar[ri] = (Y / X).mean(axis=1)
         power[:, ti, :] = range_profile(h_bar, wf_cfg)[:, :n_range].T
+
+    with ThreadPoolExecutor(max_workers=min(n_tx, _usable_cpus())) as pool:
+        list(pool.map(row, range(n_tx)))  # re-raises a row's exception
 
     return RaTensor(
         power=power,

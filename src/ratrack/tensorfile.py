@@ -8,13 +8,17 @@ Layout, all little-endian:
              | f32 payload[n_range * n_tx * n_rx], range-major then tx
              then rx (C order of [range, tx, rx])
 
-Truncated or malformed input, including a non-finite payload value, is
-rejected with the offending byte offset; a partial sweep is never
-yielded.
+Truncated or malformed input is rejected with the offending byte
+offset, and a partial sweep is never yielded.  Malformed means: a count
+below 1, a bin size that is not finite and > 0, a steering angle that
+is not finite and inside (-90, 90), a sweep index that does not
+increase, a start time that does not increase or lies outside
++-_MAX_ABS_T_S, or a payload value that is negative or not finite.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import BinaryIO, Iterator
 
@@ -29,6 +33,9 @@ VERSION = 1
 _HEADER_FIXED = struct.Struct("<4sHIIId")
 _SWEEP_HEADER = struct.Struct("<Qd")
 _MAX_READ = 1 << 20
+# the tracker cubes time steps, so start times stay well inside float
+# range: +-1e12 s is ~31,700 years and admits Unix-epoch seconds
+_MAX_ABS_T_S = 1e12
 
 
 class TensorWriter:
@@ -100,11 +107,29 @@ def read_header(fh: BinaryIO):
         raise FormatError(f"bad magic {magic!r}", 0)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
+    # the counts sit at byte offsets 6, 10 and 14, the bin size at 18
+    for name, count, at in (
+        ("n_range", n_range, 6), ("n_tx", n_tx, 10), ("n_rx", n_rx, 14)
+    ):
+        if count < 1:
+            raise FormatError(f"{name} must be >= 1, got {count}", at)
+    if not (math.isfinite(bin_size) and bin_size > 0):
+        raise FormatError(
+            f"bin_size_m must be finite and > 0, got {bin_size}", 18
+        )
     offset = _HEADER_FIXED.size
     tables = []
     for count in (n_tx, n_rx):
         raw = _read_exact(fh, 4 * count, offset, "truncated angle table")
-        tables.append(tuple(float(a) for a in np.frombuffer(raw, dtype="<f4")))
+        angles = np.frombuffer(raw, dtype="<f4")
+        bad = np.flatnonzero(~(np.abs(angles) < 90.0))
+        if bad.size:
+            raise FormatError(
+                f"steering angle {angles[bad[0]]} not finite or outside "
+                f"(-90, 90)",
+                offset + 4 * int(bad[0]),
+            )
+        tables.append(tuple(float(a) for a in angles))
         offset += 4 * count
     return n_range, tables[0], tables[1], bin_size, offset
 
@@ -114,6 +139,7 @@ def read_sweeps(fh: BinaryIO) -> Iterator[RaTensor]:
     n_range, tx_angles, rx_angles, bin_size, offset = read_header(fh)
     payload_len = 4 * n_range * len(tx_angles) * len(rx_angles)
     last_index: int | None = None
+    last_t: float | None = None
     while True:
         raw = fh.read(_SWEEP_HEADER.size)
         if not raw:
@@ -131,13 +157,23 @@ def read_sweeps(fh: BinaryIO) -> Iterator[RaTensor]:
                 f"sweep_index not increasing at sweep {sweep_index}",
                 offset - _SWEEP_HEADER.size,
             )
-        last_index = sweep_index
+        if not abs(t_start) <= _MAX_ABS_T_S or (
+            last_t is not None and t_start <= last_t
+        ):
+            raise FormatError(
+                f"t_start_s {t_start} not within +-{_MAX_ABS_T_S:g} s and "
+                f"increasing at sweep {sweep_index}",
+                offset - _SWEEP_HEADER.size + 8,
+            )
+        last_index, last_t = sweep_index, t_start
         power = np.frombuffer(payload, dtype="<f4").reshape(
             n_range, len(tx_angles), len(rx_angles)
         )
-        if not np.isfinite(power).all():
+        if not (np.isfinite(power) & (power >= 0)).all():
             raise FormatError(
-                f"non-finite payload value in sweep {sweep_index}", offset
+                f"negative or non-finite payload value in sweep "
+                f"{sweep_index}",
+                offset,
             )
         offset += payload_len
         yield RaTensor(

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import io
+import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -11,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratrack
 from ratrack import ConfigError, FormatError, StreamError
@@ -117,6 +122,38 @@ def test_codebook_absent_key_takes_default():
     assert cfg.codebook.tx_angles_deg == (-10.0, -5.0, 0.0, 5.0, 10.0)
     cfg = from_dict({"codebook": {"step_deg": 25.0}})
     assert cfg.codebook.rx_angles_deg == (-50.0, -25.0, 0.0, 25.0, 50.0)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("n_elements", 4), ("element_spacing_wavelengths", 0.6)]
+)
+def test_codebook_array_only_takes_default_tables(key, value):
+    cfg = from_dict({"codebook": {key: value}})
+    assert getattr(cfg.codebook, key) == value
+    default = from_dict({}).codebook
+    assert len(cfg.codebook.tx_angles_deg) == 21
+    assert cfg.codebook.tx_angles_deg == default.tx_angles_deg
+    assert cfg.codebook.rx_angles_deg == default.rx_angles_deg
+
+
+def test_codebook_span_and_tables_rejected():
+    with pytest.raises(ConfigError, match="not both"):
+        from_dict({"codebook": {
+            "span_deg": 10.0, "tx_angles_deg": [0.0], "rx_angles_deg": [0.0],
+        }})
+
+
+def test_run_seed_rejected():
+    # nothing reads a run seed: the waveform and scene seeds set the draws
+    with pytest.raises(ConfigError, match=r"unknown keys in \[run\]"):
+        from_dict({"run": {"seed": 5}})
+
+
+def test_cli_run_seed_exit_code(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text("run: {seed: 5}\n")
+    assert main(["e2e", "--config", str(p), "--out", str(tmp_path)]) == 2
+    assert "unknown keys in [run]: ['seed']" in capsys.readouterr().err
 
 
 def test_cli_nan_codebook_step_exit_code(tmp_path):
@@ -331,6 +368,72 @@ def test_non_finite_payload_rejected(tmp_path, value):
         "--out", str(tmp_path / "out"),
     ])
     assert rc == 3
+
+
+# crafted 64 x 3 x 3 files with one header field overwritten:
+# (struct format, byte offset, value); the reader must name that offset
+HEADER_TX0, HEADER_RX0 = 26, 26 + 4 * 3
+BAD_HEADER_FIELDS = [
+    ("<d", 18, NAN),  # bin_size_m
+    ("<d", 18, INF),
+    ("<d", 18, 0.0),
+    ("<d", 18, -0.3),
+    ("<I", 6, 0),  # n_range
+    ("<I", 10, 0),  # n_tx
+    ("<I", 14, 0),  # n_rx
+    ("<f", HEADER_TX0 + 4, NAN),
+    ("<f", HEADER_TX0, -INF),
+    ("<f", HEADER_RX0 + 8, 95.0),
+    ("<f", HEADER_RX0, -90.0),
+]
+
+
+def crafted_file(fmt, offset, value):
+    """Three 64 x 3 x 3 sweeps with the field at offset overwritten."""
+    tensors = [small_tensor(k, (64, 3, 3)) for k in range(3)]
+    data = bytearray(write_file(tensors))
+    struct.pack_into(fmt, data, offset, value)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("fmt,offset,value", BAD_HEADER_FIELDS)
+def test_bad_header_field_rejected(tmp_path, capsys, fmt, offset, value):
+    data = crafted_file(fmt, offset, value)
+    with pytest.raises(FormatError) as exc:
+        read_header(io.BytesIO(data))
+    assert exc.value.offset == offset
+    bad = tmp_path / "bad.ratn"
+    bad.write_bytes(data)
+    out = tmp_path / "out"
+    assert main([
+        "track", "--tensors", str(bad),
+        "--config", write_config(tmp_path, {}), "--out", str(out),
+    ]) == 3
+    assert f"byte offset {offset}" in capsys.readouterr().err
+    assert (out / "detections.csv").read_text() == (
+        ratrack.pipeline.DETECTIONS_HEADER + "\n"
+    )
+
+
+# the same file's sweep 1: t_start_s and the first payload value
+SWEEP1_T = HEADER_RX0 + 4 * 3 + (16 + 4 * 64 * 9) + 8
+BAD_SWEEP_FIELDS = [
+    ("<d", SWEEP1_T, NAN),
+    ("<d", SWEEP1_T, -INF),
+    ("<d", SWEEP1_T, 2e12),
+    ("<d", SWEEP1_T, 0.0),  # equal to sweep 0's start
+    ("<d", SWEEP1_T, -1.0),  # before it
+    ("<f", SWEEP1_T + 8, -1e-3),
+]
+
+
+@pytest.mark.parametrize("fmt,offset,value", BAD_SWEEP_FIELDS)
+def test_bad_sweep_field_rejected(fmt, offset, value):
+    reader = read_sweeps(io.BytesIO(crafted_file(fmt, offset, value)))
+    assert next(reader).sweep_index == 0
+    with pytest.raises(FormatError, match="sweep 1") as exc:
+        next(reader)
+    assert exc.value.offset == offset
 
 
 def test_writer_rejects_dim_mismatch():
@@ -553,3 +656,95 @@ def test_warmup_sweeps_emit_no_detections(tmp_path):
     main(["e2e", "--config", cfgp, "--out", str(out)])
     rows = (out / "detections.csv").read_text().splitlines()[1:]
     assert all(not r.startswith("0,") for r in rows)
+
+
+def mover_file(n_sweeps=6, shape=(64, 3, 3)):
+    """Noise sweeps with one strong reflector stepping out in range."""
+    tensors = [small_tensor(k, shape) for k in range(n_sweeps)]
+    for k, t in enumerate(tensors):
+        t.power[20 + k, 1, 1] = 1e4
+    return write_file(tensors)
+
+
+MOVER = mover_file()
+# every fixed-size field of MOVER: (struct format, byte offset)
+MOVER_HEADER_SIZE = 26 + 4 * (3 + 3)
+MOVER_SWEEP_SIZE = 16 + 4 * 64 * 3 * 3
+MOVER_FIELDS = (
+    [("<I", 6), ("<I", 10), ("<I", 14), ("<d", 18)]
+    + [("<f", 26 + 4 * i) for i in range(6)]
+    + [
+        (fmt, MOVER_HEADER_SIZE + k * MOVER_SWEEP_SIZE + at)
+        for k in range(6)
+        for fmt, at in (("<Q", 0), ("<d", 8), ("<f", 16 + 4 * (20 + k) * 9))
+    ]
+)
+FIELD_VALUES = {
+    "<I": st.one_of(
+        st.sampled_from([0, 1, 2, 3, 20, 21, 63, 65, 2**31, 2**32 - 1]),
+        st.integers(0, 2**32 - 1),
+    ),
+    "<Q": st.integers(0, 2**64 - 1),
+    "<d": st.floats(),
+    "<f": st.floats(width=32),
+}
+MUTATION = st.one_of(
+    st.sampled_from(MOVER_FIELDS).flatmap(
+        lambda f: st.tuples(st.just(f), FIELD_VALUES[f[0]])
+    ),
+    st.tuples(st.just("byte"), st.tuples(
+        st.integers(0, len(MOVER) - 1), st.integers(0, 255)
+    )),
+)
+
+
+def csv_values_finite(path):
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # a track status
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    mutations=st.lists(MUTATION, min_size=1, max_size=4),
+    cut=st.none() | st.integers(0, len(MOVER) - 1),
+)
+def test_cli_track_mutated_file_exit_code(mutations, cut):
+    # header fields and bytes of a valid file, overwritten at random and
+    # the file optionally cut short:
+    # track either rejects the file (exit 3) or writes only finite
+    # values (exit 0); the one exit 2 is a file whose range axis is
+    # shorter than the default CFAR window
+    data = bytearray(MOVER)
+    for what, value in mutations:
+        if what == "byte":
+            data[value[0]] = value[1]
+        else:
+            fmt, offset = what
+            struct.pack_into(fmt, data, offset, value)
+    if cut is not None:
+        del data[cut:]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.ratn").write_bytes(bytes(data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([
+                "track", "--tensors", str(tmp / "in.ratn"),
+                "--config", write_config(tmp, {}), "--out", str(tmp / "out"),
+            ])
+        if rc == 2:
+            n_range = struct.unpack_from("<I", data, 6)[0]
+            assert n_range < 21 and "CFAR window" in err.getvalue()
+        else:
+            assert rc in (0, 3), err.getvalue()
+        if rc == 0:
+            for name in ("detections.csv", "tracks.csv"):
+                assert csv_values_finite(tmp / "out" / name), name

@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from ratrack import (
     range_profile,
     sweep,
 )
+from ratrack import receiver
 from ratrack.config import from_dict
 from ratrack.waveform import C_LIGHT
 
@@ -210,3 +214,88 @@ def test_sweep_tensor_digest(case, wf_small):
                 sweep(scene, codebook, wf_small, k, n_range=64).power.tobytes()
             )
     assert digest.hexdigest() == TENSOR_DIGESTS[case]
+
+
+def noisy_digest_scene():
+    """The noisy scene and codebook of test_sweep_tensor_digest."""
+    codebook = BeamCodebook(
+        tx_angles_deg=(-10.0, 0.0, 7.5), rx_angles_deg=(-3.0, 4.0)
+    )
+    scene = SceneConfig(
+        targets=(
+            TargetTruth(pos=(-2.0, 15.0)),
+            TargetTruth(pos=(4.0, 30.0), reflectivity=0.3),
+        ),
+        leakage_amplitude=5.0,
+        noise_power=0.01,
+        seed=9,
+    )
+    return scene, codebook
+
+
+def test_sweep_independent_of_row_order(wf_small, monkeypatch):
+    # tx rows run on worker threads; delaying row ti by (n_tx - ti) * 5 ms
+    # makes later rows finish first wherever two or more workers run, and
+    # the bytes must not move
+    scene, codebook = noisy_digest_scene()
+    expected = sweep(scene, codebook, wf_small, 2, n_range=64).power.tobytes()
+    n_tx = len(codebook.tx_angles_deg)
+    original = receiver.channel_response
+    finished = []
+
+    def slow(scene, codebook, ti, *args):
+        time.sleep((n_tx - ti) * 0.005)
+        out = original(scene, codebook, ti, *args)
+        finished.append(ti)
+        return out
+
+    monkeypatch.setattr(receiver, "channel_response", slow)
+    got = sweep(scene, codebook, wf_small, 2, n_range=64).power.tobytes()
+    assert sorted(finished) == list(range(n_tx))
+    assert got == expected
+
+
+def test_sweep_many_workers_fast_switching(wf_small, monkeypatch):
+    # more workers than cores, switching threads every microsecond: a
+    # row that wrote outside its slice or shared a buffer would show
+    scene, _ = noisy_digest_scene()
+    angles = tuple(np.linspace(-20.0, 20.0, 8))
+    codebook = BeamCodebook(tx_angles_deg=angles, rx_angles_deg=angles[:3])
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 1)
+    expected = sweep(scene, codebook, wf_small, 1, n_range=64).power
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sweep(scene, codebook, wf_small, 1, n_range=64).power
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sweep_row_error_propagates(wf_small, monkeypatch):
+    scene, codebook = noisy_digest_scene()
+    original = receiver.channel_response
+
+    def failing(scene, codebook, ti, *args):
+        if ti == 1:
+            raise RuntimeError("row 1 failed")
+        return original(scene, codebook, ti, *args)
+
+    monkeypatch.setattr(receiver, "channel_response", failing)
+    with pytest.raises(RuntimeError, match="row 1 failed"):
+        sweep(scene, codebook, wf_small, 0, n_range=64)
+
+
+def test_sweep_memory_bounded(monkeypatch):
+    # two paper-config rows in flight stay near two rows' working sets
+    # (~4 MB each); the (n_tx, n_rx, K) array (~45 MB) is never built
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 2)
+    cfg = from_dict(E2E_SCENARIO)
+    tracemalloc.start()
+    try:
+        sweep(cfg.scene, cfg.codebook, cfg.waveform, 0, cfg.run.n_range)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
