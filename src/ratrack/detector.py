@@ -8,6 +8,7 @@ angle axes are clustered afterwards by DBSCAN.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -31,6 +32,11 @@ class CfarConfig:
         require_int("n_guard", self.n_guard, 0)
         if not 0.0 < self.pfa < 1.0:
             raise ConfigError("pfa must be in (0, 1)")
+        try:  # an edge cell's n_train cells need the largest factor
+            math.pow(self.pfa, -1.0 / self.n_train)
+        except OverflowError:
+            raise ConfigError(f"pfa {self.pfa!r} with n_train "
+                              f"{self.n_train}: CFAR threshold overflows")
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,8 @@ class MtiFilter:
         for i, tap in enumerate(self.taps[1:], start=1):
             filtered = filtered + tap * self._history[-i]
         self._history.append(amplitude)
-        out = (filtered * filtered).astype(tensor.power.dtype)
+        filtered *= filtered
+        out = filtered.astype(tensor.power.dtype, copy=False)
         return replace(tensor, power=out), False
 
 
@@ -113,32 +120,31 @@ def ca_cfar(tensor: RaTensor, cfg: CfarConfig) -> list[Detection]:
     pfa holds there too.
     """
     n = tensor.n_range
-    if 2 * (cfg.n_train + cfg.n_guard) + 1 > n:
+    g, w = cfg.n_guard, cfg.n_guard + cfg.n_train
+    if 2 * w + 1 > n:
         raise ConfigError(
-            f"CFAR window {2 * (cfg.n_train + cfg.n_guard) + 1} exceeds "
-            f"range axis length {n}"
+            f"CFAR window {2 * w + 1} exceeds range axis length {n}"
         )
-    power = tensor.power.astype(np.float64)
-    # training sums via cumulative sum along range, one pass per cell index
-    cs = np.concatenate(
-        [np.zeros((1,) + power.shape[1:]), np.cumsum(power, axis=0)], axis=0
-    )
+    power = tensor.power
+    # padded float64 prefix sum along range: cs[w + j] is the sum of
+    # power[:clip(j, 0, n)], so every clipped window bound is a slice
+    cs = np.empty((n + 1 + 2 * w,) + power.shape[1:])
+    cs[: w + 1] = 0.0
+    np.cumsum(power, axis=0, dtype=np.float64, out=cs[w + 1 : w + 1 + n])
+    cs[w + 1 + n :] = cs[w + n]
     i = np.arange(n)
-    left_lo = np.clip(i - cfg.n_guard - cfg.n_train, 0, n)
-    left_hi = np.clip(i - cfg.n_guard, 0, n)  # exclusive
-    right_lo = np.clip(i + cfg.n_guard + 1, 0, n)
-    right_hi = np.clip(i + cfg.n_guard + cfg.n_train + 1, 0, n)  # exclusive
-    counts = (left_hi - left_lo) + (right_hi - right_lo)
-    train_sum = (cs[left_hi] - cs[left_lo]) + (cs[right_hi] - cs[right_lo])
-    # threshold = alpha * mean = (pfa^(-1/cnt) - 1) * sum
-    factor = cfg.pfa ** (-1.0 / counts) - 1.0
-    threshold = factor[:, None, None] * train_sum
-    hits = power > threshold
-    r_idx, t_idx, x_idx = np.nonzero(hits)
-    return [
-        Detection(int(r), int(t), int(x), float(power[r, t, x]))
-        for r, t, x in zip(r_idx, t_idx, x_idx)
-    ]
+    counts = (np.clip(i - g, 0, n) - np.clip(i - w, 0, n)) + (
+        np.clip(i + w + 1, 0, n) - np.clip(i + g + 1, 0, n)
+    )
+    # threshold = alpha * mean = (pfa^(-1/cnt) - 1) * training sum, the
+    # sum formed as (left_hi - left_lo) + (right_hi - right_lo)
+    threshold = np.subtract(cs[cfg.n_train : cfg.n_train + n], cs[:n])
+    threshold += np.subtract(cs[2 * w + 1 :], cs[w + g + 1 : w + g + 1 + n])
+    threshold *= (cfg.pfa ** (-1.0 / counts) - 1.0)[:, None, None]
+    # float32 power promotes exactly to float64 in the comparison
+    hits = np.flatnonzero(power > threshold)
+    cols = np.unravel_index(hits, power.shape) + (power.reshape(-1)[hits],)
+    return list(map(Detection, *(c.tolist() for c in cols)))
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,9 @@ class DbscanConfig:
     rx_scale: float = 2.0
 
     def __post_init__(self):
+        # capped so squared distances of scaled indices stay finite
         for name in ("eps", "range_scale", "tx_scale", "rx_scale"):
-            require_real(name, getattr(self, name))
+            require_real(name, getattr(self, name), high=1e6)
         require_int("min_pts", self.min_pts, 1)
 
 

@@ -43,17 +43,21 @@ class NumericalError(RatrackError):
     """A linear-algebra step failed (e.g. non-invertible innovation covariance)."""
 
 
-def require_real(name: str, value, low: float = 0.0, strict: bool = True):
+def require_real(name: str, value, low: float = 0.0, strict: bool = True,
+                 high: float = math.inf):
     """Raise ConfigError unless value is a finite real number > low
-    (>= low when strict is False)."""
+    (>= low when strict is False) and <= high."""
     try:
-        ok = math.isfinite(value) and (value > low if strict else value >= low)
+        ok = math.isfinite(value) and value <= high and (
+            value > low if strict else value >= low
+        )
     except (TypeError, OverflowError):
         ok = False
     if not ok:
         op = ">" if strict else ">="
+        cap = "" if high == math.inf else f" and <= {high:g}"
         raise ConfigError(
-            f"{name} must be finite and {op} {low:g}, got {value!r}"
+            f"{name} must be finite and {op} {low:g}{cap}, got {value!r}"
         )
 
 

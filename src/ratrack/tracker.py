@@ -9,6 +9,7 @@ linearizes it about the predicted state.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections import deque
@@ -67,9 +68,11 @@ class TrackState:
     age: int = 0
     history: deque = field(default_factory=lambda: deque(maxlen=4))
 
-    def snapshot(self) -> "TrackState":
+    def snapshot(self, x=None, P=None) -> "TrackState":
+        """A copy sharing no mutable state with self (x, P as given)."""
         return TrackState(
-            id=self.id, x=self.x.copy(), P=self.P.copy(), status=self.status,
+            id=self.id, x=self.x.copy() if x is None else x,
+            P=self.P.copy() if P is None else P, status=self.status,
             hits=self.hits, misses=self.misses, age=self.age,
             history=deque(self.history, maxlen=self.history.maxlen),
         )
@@ -82,8 +85,10 @@ def polar_to_cartesian(r: float, theta: float) -> tuple[float, float]:
     return r * np.sin(theta), r * np.cos(theta)
 
 
+@functools.lru_cache(maxsize=8)
 def transition_matrices(dt: float, q_accel: float) -> tuple[np.ndarray, np.ndarray]:
-    """Constant-velocity F and white-acceleration Q for step dt."""
+    """Constant-velocity F and white-acceleration Q for step dt, cached
+    (one build per tracker step) and read-only."""
     F = np.eye(4)
     F[0, 2] = dt
     F[1, 3] = dt
@@ -96,19 +101,17 @@ def transition_matrices(dt: float, q_accel: float) -> tuple[np.ndarray, np.ndarr
             [0.0, d2, 0.0, dt],
         ]
     )
+    F.flags.writeable = Q.flags.writeable = False
     return F, Q
 
 
 def ekf_predict(track: TrackState, dt_s: float, cfg: TrackerConfig) -> TrackState:
-    """Extrapolate one track forward by dt_s (in place on a copy)."""
+    """Extrapolate one track forward by dt_s, as a new TrackState."""
     if dt_s <= 0:
         raise ConfigError("dt_s must be > 0")
     F, Q = transition_matrices(dt_s, cfg.q_accel)
-    out = track.snapshot()
-    out.x = F @ track.x
     P = F @ track.P @ F.T + Q
-    out.P = 0.5 * (P + P.T)
-    return out
+    return track.snapshot(x=F @ track.x, P=0.5 * (P + P.T))
 
 
 def measurement_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,11 +153,9 @@ def ekf_update(
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"innovation covariance not invertible: {exc}")
     K = track.P @ H.T @ S_inv
-    out = track.snapshot()
-    out.x = track.x + K @ innovation
     A = np.eye(4) - K @ H
     P = A @ track.P @ A.T + K @ R @ K.T
-    out.P = 0.5 * (P + P.T)
+    out = track.snapshot(x=track.x + K @ innovation, P=0.5 * (P + P.T))
     out.hits += 1
     return out
 

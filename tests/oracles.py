@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratrack import FrameError, ResourceGrid, WaveformConfig
+from ratrack import Detection, FrameError, ResourceGrid, WaveformConfig
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -109,6 +109,37 @@ def bfs_dbscan(dets, cfg):
     ]
     noise = [i for i in range(n) if labels[i] == -1]
     return clusters, noise
+
+
+def gather_ca_cfar(tensor, cfg):
+    """CA-CFAR with the clipped window bounds gathered by fancy index.
+
+    Same contract as ratrack.ca_cfar, window check aside: a float64
+    prefix sum along range, training sums formed as
+    (left_hi - left_lo) + (right_hi - right_lo), factor
+    pfa^(-1/count) - 1 for each cell's own training count, and a hit
+    where power exceeds the threshold strictly.
+    """
+    n = tensor.n_range
+    power = tensor.power.astype(np.float64)
+    cs = np.concatenate(
+        [np.zeros((1,) + power.shape[1:]), np.cumsum(power, axis=0)], axis=0
+    )
+    i = np.arange(n)
+    left_lo = np.clip(i - cfg.n_guard - cfg.n_train, 0, n)
+    left_hi = np.clip(i - cfg.n_guard, 0, n)  # exclusive
+    right_lo = np.clip(i + cfg.n_guard + 1, 0, n)
+    right_hi = np.clip(i + cfg.n_guard + cfg.n_train + 1, 0, n)  # exclusive
+    counts = (left_hi - left_lo) + (right_hi - right_lo)
+    train_sum = (cs[left_hi] - cs[left_lo]) + (cs[right_hi] - cs[right_lo])
+    factor = cfg.pfa ** (-1.0 / counts) - 1.0
+    threshold = factor[:, None, None] * train_sum
+    hits = power > threshold
+    r_idx, t_idx, x_idx = np.nonzero(hits)
+    return [
+        Detection(int(r), int(t), int(x), float(power[r, t, x]))
+        for r, t, x in zip(r_idx, t_idx, x_idx)
+    ]
 
 
 def finite_difference_jacobian(fn, x: np.ndarray, step: float = 1e-6):

@@ -21,7 +21,7 @@ from ratrack import (
 from ratrack.detector import make_cluster
 from ratrack.receiver import RaTensor
 
-from oracles import bfs_dbscan, reference_dbscan
+from oracles import bfs_dbscan, gather_ca_cfar, reference_dbscan
 
 
 def make_tensor(power, bin_size_m=0.3049):
@@ -202,6 +202,87 @@ def test_cfar_edge_cells_calibrated():
     assert 0.3e-2 <= rate <= 3e-2
 
 
+def cfar_tuples(dets):
+    return [(d.range_idx, d.tx_idx, d.rx_idx, d.power) for d in dets]
+
+
+def raw_tensor(power):
+    """A tensor holding power as given, in its own dtype."""
+    return RaTensor(
+        power=power, tx_angles_deg=(0.0,) * power.shape[1],
+        rx_angles_deg=(0.0,) * power.shape[2], sweep_index=0,
+        t_start_s=0.0, bin_size_m=0.3,
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("extra_bins", [0, 1, 7, 100])
+@pytest.mark.parametrize(
+    "n_train,n_guard,pfa",
+    [(8, 2, 1e-3), (1, 0, 0.5), (3, 0, 1e-12), (4, 1, 0.5), (2, 5, 1e-12)],
+)
+def test_cfar_identical_to_gather(dtype, extra_bins, n_train, n_guard, pfa):
+    # range axes from the minimum window upward; all-zero stretches
+    # give zero thresholds (and zero-power cells that must not hit)
+    n = 2 * (n_train + n_guard) + 1 + extra_bins
+    rng = np.random.default_rng(extra_bins + 10 * n_train + n_guard)
+    p = rng.exponential(1.0, (n, 4, 3)) * rng.choice([0.01, 1.0, 50.0], n)[
+        :, None, None
+    ]
+    p[n // 3 : n // 3 + n_train + 2, :2] = 0.0
+    p[:, 2, 1] = 0.0
+    p[rng.integers(0, n, 3), rng.integers(0, 4, 3), rng.integers(0, 3, 3)] = (
+        1e3
+    )
+    t = raw_tensor(p.astype(dtype))
+    cfg = CfarConfig(n_train=n_train, n_guard=n_guard, pfa=pfa)
+    got = ca_cfar(t, cfg)
+    assert cfar_tuples(got) == cfar_tuples(gather_ca_cfar(t, cfg))
+    assert all(type(d.power) is float for d in got)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cfar_cell_at_threshold_is_not_a_hit(dtype):
+    # n_train 1, n_guard 0, pfa 1/4: an interior cell trains on its two
+    # neighbours with factor 4^(1/2) - 1 = 1, so its threshold is their
+    # sum exactly; only power strictly above it is a hit
+    cfg = CfarConfig(n_train=1, n_guard=0, pfa=0.25)
+    p = np.ones((7, 1, 2), dtype=dtype)
+    p[3, 0, 0] = 2.0
+    p[3, 0, 1] = np.nextafter(dtype(2.0), dtype(3.0))
+    t = raw_tensor(p)
+    assert [(d.range_idx, d.rx_idx) for d in ca_cfar(t, cfg)] == [(3, 1)]
+    assert cfar_tuples(ca_cfar(t, cfg)) == cfar_tuples(gather_ca_cfar(t, cfg))
+
+
+def test_cfar_memory_bounded_at_paper_size():
+    # one 512 x 21 x 21 float32 sweep: the padded prefix sum and two
+    # threshold buffers peak at ~5.3 MB; gathering the four window
+    # bounds from a float64 copy of the tensor peaks at ~8.6 MB
+    rng = np.random.default_rng(21)
+    t, = tensor_stream([rng.exponential(1.0, (512, 21, 21))])
+    assert t.power.dtype == np.float32
+    tracemalloc.start()
+    try:
+        dets = ca_cfar(t, CfarConfig(pfa=1e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
+    assert cfar_tuples(dets) == cfar_tuples(
+        gather_ca_cfar(t, CfarConfig(pfa=1e-6))
+    )
+
+
+@pytest.mark.parametrize("pfa", [5e-324, 5.5e-309, np.float64(1e-320)])
+def test_cfar_config_rejects_pfa_whose_factor_overflows(pfa):
+    # pfa^(-1/n_train) overflows at n_train 1; n_train 2 still fits
+    with pytest.raises(ConfigError, match="overflows"):
+        CfarConfig(n_train=1, pfa=pfa)
+    CfarConfig(n_train=2, pfa=pfa)
+    CfarConfig(n_train=1, pfa=5.6e-309)
+
+
 # ------------------------------------------------------------- DBSCAN
 
 
@@ -357,6 +438,14 @@ def test_dbscan_memory_bounded_at_45x45_stress_size():
 def test_dbscan_config_rejects_non_finite_or_non_positive(field, value):
     with pytest.raises(ConfigError):
         DbscanConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["eps", "range_scale", "tx_scale", "rx_scale"])
+def test_dbscan_config_rejects_values_that_overflow_distances(field):
+    # squared distances of indices scaled by ~1e154 overflow
+    with pytest.raises(ConfigError, match="<= 1e"):
+        DbscanConfig(**{field: 1.3e154})
+    DbscanConfig(**{field: 1e6})
 
 
 # ------------------------------------------------- cluster measurement

@@ -75,6 +75,21 @@ def test_invalid_value_surfaces():
         from_dict({"cfar": {"pfa": 2.0}})
 
 
+def test_cfar_pfa_whose_factor_overflows_rejected(tmp_path, capsys):
+    # pfa^(-1/n_train) is inf at n_train 1: a config error, not an
+    # overflow (or NaN thresholds) inside ca_cfar
+    doc = {"cfar": {"n_train": 1, "pfa": 5e-324}}
+    with pytest.raises(ConfigError, match="overflows"):
+        from_dict(doc)
+    (tmp_path / "in.ratn").write_bytes(MOVER)
+    capsys.readouterr()
+    assert main([
+        "track", "--tensors", str(tmp_path / "in.ratn"),
+        "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out"),
+    ]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_scene_targets_parsed():
     cfg = from_dict(SMALL_CONFIG)
     assert len(cfg.scene.targets) == 1
@@ -745,6 +760,67 @@ def test_cli_track_mutated_file_exit_code(mutations, cut):
             assert n_range < 21 and "CFAR window" in err.getvalue()
         else:
             assert rc in (0, 3), err.getvalue()
+        if rc == 0:
+            for name in ("detections.csv", "tracks.csv"):
+                assert csv_values_finite(tmp / "out" / name), name
+
+
+# a number-like value of the wrong kind: tests that a config field is
+# checked for type as well as range
+NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text("ab1.e-", max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+ANY_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([5e-324, 5.5e-309, 1e-300, 1e300]),
+)
+# MOVER's range axis is 64 bins: windows near it are drawn often
+WINDOW_INT = st.one_of(
+    st.integers(-1, 34), st.integers(-2**70, 2**70), NOT_A_NUMBER
+)
+CONFIG_SECTIONS = st.fixed_dictionaries({}, optional={
+    "cfar": st.fixed_dictionaries({}, optional={
+        "n_train": WINDOW_INT,
+        "n_guard": WINDOW_INT,
+        "pfa": st.one_of(ANY_FLOAT, st.floats(0.0, 1.0), NOT_A_NUMBER),
+    }),
+    "dbscan": st.fixed_dictionaries({}, optional={
+        "eps": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+        "min_pts": st.one_of(st.integers(-1, 2**70), NOT_A_NUMBER),
+        "range_scale": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+        "tx_scale": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+        "rx_scale": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+    }),
+    "run": st.fixed_dictionaries({}, optional={
+        "n_sweeps": WINDOW_INT,
+        "n_range": WINDOW_INT,
+        "mti_taps": st.one_of(
+            st.lists(ANY_FLOAT, max_size=4),
+            ANY_FLOAT.map(lambda a: [a, -a]),
+            NOT_A_NUMBER,
+        ),
+        "score_radius_m": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+    }),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=CONFIG_SECTIONS)
+def test_cli_track_random_config_exit_code(doc):
+    # cfar, dbscan and run sections drawn at random, extreme and
+    # wrongly typed values included: track either rejects the config
+    # (exit 2) or writes only finite values (exit 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.ratn").write_bytes(MOVER)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([
+                "track", "--tensors", str(tmp / "in.ratn"),
+                "--config", write_config(tmp, doc), "--out", str(tmp / "out"),
+            ])
+        assert rc in (0, 2), err.getvalue()
         if rc == 0:
             for name in ("detections.csv", "tracks.csv"):
                 assert csv_values_finite(tmp / "out" / name), name

@@ -18,7 +18,7 @@ from ratrack import (
     measurement_model,
     polar_to_cartesian,
 )
-from ratrack.tracker import gated_pairs, wrap_angle
+from ratrack.tracker import gated_pairs, transition_matrices, wrap_angle
 
 from oracles import brute_force_assignment, finite_difference_jacobian
 
@@ -80,6 +80,25 @@ def test_predict_covariance_symmetric():
     out = ekf_predict(t, 0.2, TrackerConfig())
     assert np.array_equal(out.P, out.P.T)
     assert np.min(np.linalg.eigvalsh(out.P)) >= -1e-9
+
+
+def test_predict_shares_no_state_with_input():
+    t = make_track([3.0, 4.0, 1.0, 0.0])
+    t.history.append(True)
+    out = ekf_predict(t, 0.2, TrackerConfig())
+    out.history.append(False)
+    assert not np.shares_memory(out.x, t.x)
+    assert not np.shares_memory(out.P, t.P)
+    assert list(t.history) == [True]
+
+
+def test_transition_matrices_cached_read_only():
+    F, Q = transition_matrices(0.2, 1.0)
+    assert transition_matrices(0.2, 1.0)[0] is F
+    with pytest.raises(ValueError):
+        F[0, 2] = 1.0
+    with pytest.raises(ValueError):
+        Q[0, 0] = 1.0
 
 
 # -------------------------------------------------- measurement model
