@@ -12,10 +12,8 @@ from .detector import (
     CfarConfig,
     Cluster,
     DbscanConfig,
-    Detection,
     MtiFilter,
     ca_cfar,
-    cfar_threshold_factor,
     cluster_detections,
     dbscan,
 )

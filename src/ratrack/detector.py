@@ -40,18 +40,9 @@ class CfarConfig:
 
 
 @dataclass(frozen=True)
-class Detection:
-    """One CFAR hit in tensor index space."""
-
-    range_idx: int
-    tx_idx: int
-    rx_idx: int
-    power: float
-
-
-@dataclass(frozen=True)
 class Cluster:
-    members: tuple[Detection, ...]
+    """Power-weighted centroid measurement of one DBSCAN cluster."""
+
     centroid_range_m: float
     centroid_angle_deg: float
     total_power: float
@@ -93,31 +84,26 @@ class MtiFilter:
             out = np.zeros_like(tensor.power)
             return replace(tensor, power=out), True
 
-        filtered = self.taps[0] * amplitude
-        # history[-1] is the previous sweep: tap i pairs with sweep k-i
-        for i, tap in enumerate(self.taps[1:], start=1):
-            filtered = filtered + tap * self._history[-i]
+        # taps too large for float32 leave inf or NaN here without a
+        # numpy warning; ca_cfar rejects such a sweep with a ConfigError
+        with np.errstate(over="ignore", invalid="ignore"):
+            filtered = self.taps[0] * amplitude
+            # history[-1] is the previous sweep: tap i pairs with sweep k-i
+            for i, tap in enumerate(self.taps[1:], start=1):
+                filtered = filtered + tap * self._history[-i]
+            filtered *= filtered
         self._history.append(amplitude)
-        filtered *= filtered
         out = filtered.astype(tensor.power.dtype, copy=False)
         return replace(tensor, power=out), False
 
 
-def cfar_threshold_factor(n_total_train: int, pfa: float) -> float:
-    """Cell-averaging CFAR scale factor alpha = n (pfa^(-1/n) - 1)."""
-    if n_total_train < 1:
-        raise ConfigError("training cell count must be >= 1")
-    if not 0.0 < pfa < 1.0:
-        raise ConfigError("pfa must be in (0, 1)")
-    return n_total_train * (pfa ** (-1.0 / n_total_train) - 1.0)
-
-
-def ca_cfar(tensor: RaTensor, cfg: CfarConfig) -> list[Detection]:
+def ca_cfar(tensor: RaTensor, cfg: CfarConfig) -> np.ndarray:
     """1-D CA-CFAR along range, independently per beam pair.
 
-    Edge cells use only the training cells that exist, with the
-    threshold factor recomputed for the reduced count so the design
-    pfa holds there too.
+    Returns the hits as an (n, 3) integer array of (range_idx, tx_idx,
+    rx_idx) rows in ascending flat order.  Edge cells use only the
+    training cells that exist, with the threshold factor recomputed for
+    the reduced count so the design pfa holds there too.
     """
     n = tensor.n_range
     g, w = cfg.n_guard, cfg.n_guard + cfg.n_train
@@ -131,6 +117,13 @@ def ca_cfar(tensor: RaTensor, cfg: CfarConfig) -> list[Detection]:
     cs = np.empty((n + 1 + 2 * w,) + power.shape[1:])
     cs[: w + 1] = 0.0
     np.cumsum(power, axis=0, dtype=np.float64, out=cs[w + 1 : w + 1 + n])
+    # cs[w + n] holds each beam pair's total: one inf or NaN cell would
+    # turn the rest of its thresholds into NaN and drop its hits
+    if not np.isfinite(cs[w + n]).all():
+        raise ConfigError(
+            f"sweep {tensor.sweep_index}: MTI output is not finite; "
+            "run.mti_taps are too large for the float32 power tensor"
+        )
     cs[w + 1 + n :] = cs[w + n]
     i = np.arange(n)
     counts = (np.clip(i - g, 0, n) - np.clip(i - w, 0, n)) + (
@@ -143,8 +136,7 @@ def ca_cfar(tensor: RaTensor, cfg: CfarConfig) -> list[Detection]:
     threshold *= (cfg.pfa ** (-1.0 / counts) - 1.0)[:, None, None]
     # float32 power promotes exactly to float64 in the comparison
     hits = np.flatnonzero(power > threshold)
-    cols = np.unravel_index(hits, power.shape) + (power.reshape(-1)[hits],)
-    return list(map(Detection, *(c.tolist() for c in cols)))
+    return np.column_stack(np.unravel_index(hits, power.shape))
 
 
 @dataclass(frozen=True)
@@ -163,12 +155,13 @@ class DbscanConfig:
 
 
 def dbscan(
-    dets: list[Detection], cfg: DbscanConfig
-) -> tuple[list[list[int]], list[int]]:
-    """DBSCAN over scaled tensor indices.
+    idx: np.ndarray, cfg: DbscanConfig
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """DBSCAN over the (n, 3) index rows of CFAR hits, each axis scaled
+    by its DbscanConfig scale.
 
-    Returns (clusters as lists of indices into dets, noise indices),
-    each in ascending index order.  Neighbour pairs come from a KD-tree
+    Returns (clusters as arrays of row numbers into idx, noise rows),
+    each in ascending order.  Neighbour pairs come from a KD-tree
     query, so cost is O(n log n + pairs) and memory O(n + pairs).
     Clusters are the connected components of the core-point graph,
     numbered by their lowest-index core point; a border point joins
@@ -176,19 +169,10 @@ def dbscan(
     the labeling of a breadth-first DBSCAN that grows one cluster at a
     time from seeds taken in ascending index order.
     """
-    n = len(dets)
+    n = len(idx)
     if n == 0:
-        return [], []
-    pts = np.array(
-        [
-            (
-                d.range_idx * cfg.range_scale,
-                d.tx_idx * cfg.tx_scale,
-                d.rx_idx * cfg.rx_scale,
-            )
-            for d in dets
-        ]
-    )
+        return [], np.empty(0, dtype=np.intp)
+    pts = idx * np.array([cfg.range_scale, cfg.tx_scale, cfg.rx_scale], float)
     # the tree's radius has a hair of slack; the exact squared-distance
     # test decides pairs that sit on the eps boundary
     pairs = cKDTree(pts).query_pairs(
@@ -222,43 +206,33 @@ def dbscan(
 
     order = np.argsort(labels, kind="stable")
     cuts = np.searchsorted(labels[order], np.arange(n_clusters))
-    noise, *clusters = (g.tolist() for g in np.split(order, cuts))
+    noise, *clusters = np.split(order, cuts)
     return clusters, noise
 
 
 def cluster_detections(
-    dets: list[Detection], cfg: DbscanConfig, tensor: RaTensor
-) -> tuple[list[Cluster], list[Detection]]:
-    """Run DBSCAN and build centroid measurements for each cluster."""
-    member_lists, noise_idx = dbscan(dets, cfg)
-    clusters = [
-        make_cluster(tuple(dets[i] for i in members), tensor)
-        for members in member_lists
-    ]
-    return clusters, [dets[i] for i in noise_idx]
+    idx: np.ndarray, cfg: DbscanConfig, tensor: RaTensor
+) -> tuple[list[Cluster], np.ndarray]:
+    """Run DBSCAN over the CFAR hits idx and form each cluster's
+    power-weighted centroid; returns (clusters, noise rows of idx).
 
-
-def make_cluster(members: tuple[Detection, ...], tensor: RaTensor) -> Cluster:
-    """Power-weighted centroid measurement for a detection group.
-
-    The bearing of one detection is the mean of its tx and rx steering
+    The bearing of one hit is the mean of its tx and rx steering
     angles (colocated arrays see the same true bearing).
     """
-    if not members:
-        raise ConfigError("cluster must have at least one member")
-    powers = np.array([d.power for d in members])
-    ranges = np.array([d.range_idx * tensor.bin_size_m for d in members])
-    angles = np.array(
-        [
-            0.5 * (tensor.tx_angles_deg[d.tx_idx] + tensor.rx_angles_deg[d.rx_idx])
-            for d in members
-        ]
+    members, noise = dbscan(idx, cfg)
+    r, t, x = idx.T
+    powers = tensor.power[r, t, x].astype(np.float64)
+    ranges = r * tensor.bin_size_m
+    angles = 0.5 * (
+        np.asarray(tensor.tx_angles_deg)[t] + np.asarray(tensor.rx_angles_deg)[x]
     )
-    total = float(powers.sum())
-    return Cluster(
-        members=members,
-        centroid_range_m=float(np.dot(powers, ranges) / total),
-        centroid_angle_deg=float(np.dot(powers, angles) / total),
-        total_power=total,
-    )
-
+    clusters = []
+    for m in members:
+        p = powers[m]
+        total = float(p.sum())
+        clusters.append(Cluster(
+            centroid_range_m=float(np.dot(p, ranges[m]) / total),
+            centroid_angle_deg=float(np.dot(p, angles[m]) / total),
+            total_power=total,
+        ))
+    return clusters, noise

@@ -83,9 +83,9 @@ def run_tracking(
         if warm_up:
             clusters, n_cells, n_detections = [], 0, 0
         else:
-            dets = ca_cfar(filtered, cfg.cfar)
-            n_cells, n_detections = filtered.power.size, len(dets)
-            clusters, _noise = cluster_detections(dets, cfg.dbscan, filtered)
+            hits = ca_cfar(filtered, cfg.cfar)
+            n_cells, n_detections = filtered.power.size, len(hits)
+            clusters, _noise = cluster_detections(hits, cfg.dbscan, filtered)
         t1 = time.perf_counter()
         snapshots = tracker.step(
             [

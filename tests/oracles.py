@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ratrack import Detection, FrameError, ResourceGrid, WaveformConfig
+from ratrack import FrameError, ResourceGrid, WaveformConfig
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -62,25 +62,22 @@ def reference_dbscan(points: np.ndarray, eps: float, min_pts: int):
     return core_labels, len(roots), noise
 
 
-def bfs_dbscan(dets, cfg):
+def bfs_dbscan(idx, cfg):
     """Breadth-first DBSCAN on a dense n x n distance matrix.
 
-    Same contract as ratrack.dbscan: points are seeded in ascending
-    index order, each cluster grows to completion before the next one
-    starts, and a border point joins the first cluster that reaches
-    it.  Memory is O(n^2); keep n small.
+    Same contract as ratrack.dbscan, with members and noise as lists:
+    points are the (n, 3) index rows idx scaled per axis, seeded in
+    ascending row order; each cluster grows to completion before the
+    next one starts, and a border point joins the first cluster that
+    reaches it.  Memory is O(n^2); keep n small.
     """
-    n = len(dets)
+    n = len(idx)
     if n == 0:
         return [], []
     pts = np.array(
         [
-            (
-                d.range_idx * cfg.range_scale,
-                d.tx_idx * cfg.tx_scale,
-                d.rx_idx * cfg.rx_scale,
-            )
-            for d in dets
+            (r * cfg.range_scale, t * cfg.tx_scale, x * cfg.rx_scale)
+            for r, t, x in np.asarray(idx).tolist()
         ]
     )
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
@@ -114,7 +111,7 @@ def bfs_dbscan(dets, cfg):
 def gather_ca_cfar(tensor, cfg):
     """CA-CFAR with the clipped window bounds gathered by fancy index.
 
-    Same contract as ratrack.ca_cfar, window check aside: a float64
+    Same contract as ratrack.ca_cfar, input checks aside: a float64
     prefix sum along range, training sums formed as
     (left_hi - left_lo) + (right_hi - right_lo), factor
     pfa^(-1/count) - 1 for each cell's own training count, and a hit
@@ -134,12 +131,53 @@ def gather_ca_cfar(tensor, cfg):
     train_sum = (cs[left_hi] - cs[left_lo]) + (cs[right_hi] - cs[right_lo])
     factor = cfg.pfa ** (-1.0 / counts) - 1.0
     threshold = factor[:, None, None] * train_sum
-    hits = power > threshold
-    r_idx, t_idx, x_idx = np.nonzero(hits)
-    return [
-        Detection(int(r), int(t), int(x), float(power[r, t, x]))
-        for r, t, x in zip(r_idx, t_idx, x_idx)
+    return np.argwhere(power > threshold)
+
+
+@dataclass(frozen=True)
+class Detection:
+    """One CFAR hit as a Python object: how ratrack once passed hits
+    from CA-CFAR to DBSCAN and the centroids."""
+
+    range_idx: int
+    tx_idx: int
+    rx_idx: int
+    power: float
+
+
+def make_cluster(members, tensor):
+    """(range_m, angle_deg, total_power) power-weighted centroid of a
+    Detection group, built member by member from Python objects.
+
+    The bearing of one detection is the mean of its tx and rx steering
+    angles.
+    """
+    powers = np.array([d.power for d in members])
+    ranges = np.array([d.range_idx * tensor.bin_size_m for d in members])
+    angles = np.array(
+        [
+            0.5 * (tensor.tx_angles_deg[d.tx_idx] + tensor.rx_angles_deg[d.rx_idx])
+            for d in members
+        ]
+    )
+    total = float(powers.sum())
+    return (
+        float(np.dot(powers, ranges) / total),
+        float(np.dot(powers, angles) / total),
+        total,
+    )
+
+
+def object_clusters(tensor, cfar_cfg, dbscan_cfg):
+    """Centroid tuples of the object path: one Detection per CA-CFAR
+    hit, grouped by breadth-first DBSCAN, one make_cluster per group."""
+    idx = gather_ca_cfar(tensor, cfar_cfg)
+    dets = [
+        Detection(r, t, x, float(tensor.power[r, t, x]))
+        for r, t, x in idx.tolist()
     ]
+    members, _ = bfs_dbscan(idx, dbscan_cfg)
+    return [make_cluster([dets[i] for i in m], tensor) for m in members]
 
 
 def finite_difference_jacobian(fn, x: np.ndarray, step: float = 1e-6):

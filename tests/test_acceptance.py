@@ -199,33 +199,21 @@ def test_criterion_5_oracle_equivalence():
         assert cost == pytest.approx(brute_force_assignment(c))
 
     cfg = DbscanConfig(eps=3.0, min_pts=3)
-    from ratrack import Detection
-
     for trial in range(100):
         n = int(rng.integers(2, 201))
-        dets = [
-            Detection(int(r), int(t), int(x), 1.0)
-            for r, t, x in zip(
-                rng.integers(0, 50, n),
-                rng.integers(0, 8, n),
-                rng.integers(0, 8, n),
-            )
-        ]
-        clusters, noise = dbscan(dets, cfg)
-        pts = np.array(
-            [
-                (d.range_idx * cfg.range_scale, d.tx_idx * cfg.tx_scale,
-                 d.rx_idx * cfg.rx_scale)
-                for d in dets
-            ]
+        idx = np.column_stack(
+            [rng.integers(0, 50, n), rng.integers(0, 8, n),
+             rng.integers(0, 8, n)]
         )
+        clusters, noise = dbscan(idx, cfg)
+        pts = idx * np.array([cfg.range_scale, cfg.tx_scale, cfg.rx_scale])
         ref_cores, ref_n, ref_noise = reference_dbscan(pts, cfg.eps, cfg.min_pts)
         assert len(clusters) == ref_n
-        mine = {i: cid for cid, ms in enumerate(clusters) for i in ms}
+        mine = {i: cid for cid, ms in enumerate(clusters) for i in ms.tolist()}
         mapping = {}
         for i, lbl in ref_cores.items():
             assert mapping.setdefault(lbl, mine[i]) == mine[i]
-        assert set(noise) == ref_noise
+        assert set(noise.tolist()) == ref_noise
 
     for _ in range(100):
         x = rng.uniform([-50, 1, -5, -5], [50, 100, 5, 5])

@@ -7,21 +7,18 @@ from ratrack import (
     CfarConfig,
     ConfigError,
     DbscanConfig,
-    Detection,
     MtiFilter,
     SceneConfig,
     StreamError,
     TargetTruth,
     ca_cfar,
-    cfar_threshold_factor,
     cluster_detections,
     dbscan,
     sweep,
 )
-from ratrack.detector import make_cluster
 from ratrack.receiver import RaTensor
 
-from oracles import bfs_dbscan, gather_ca_cfar, reference_dbscan
+from oracles import bfs_dbscan, gather_ca_cfar, object_clusters, reference_dbscan
 
 
 def make_tensor(power, bin_size_m=0.3049):
@@ -131,25 +128,47 @@ def test_mti_dim_change_rejected():
 
 
 def test_threshold_factor_values():
-    assert cfar_threshold_factor(16, 1e-2) == pytest.approx(5.33634, abs=1e-4)
-    assert cfar_threshold_factor(1, 0.5) == pytest.approx(1.0)
+    # 16 unit training cells at pfa 1e-2: alpha = 16 (100^(1/16) - 1)
+    # = 5.33634, so the centre cell's threshold is 5.33634
+    p = np.ones((17, 1, 2))
+    p[8, 0, 0] = 5.3363
+    p[8, 0, 1] = 5.3364
+    t = raw_tensor(p)
+    hits = ca_cfar(t, CfarConfig(n_train=8, n_guard=0, pfa=1e-2))
+    assert hits.tolist() == [[8, 0, 1]]
 
 
 def test_threshold_factor_monotone_in_pfa():
-    alphas = [cfar_threshold_factor(16, p) for p in (1e-4, 1e-3, 1e-2, 1e-1)]
-    assert all(a > b for a, b in zip(alphas, alphas[1:]))
+    rng = np.random.default_rng(12)
+    t, = tensor_stream([rng.exponential(1.0, (256, 8, 8))])
+    counts = [
+        len(ca_cfar(t, CfarConfig(pfa=p))) for p in (1e-4, 1e-3, 1e-2, 1e-1)
+    ]
+    assert all(a < b for a, b in zip(counts, counts[1:]))
 
 
 def test_threshold_factor_validation():
     with pytest.raises(ConfigError):
-        cfar_threshold_factor(0, 0.1)
+        CfarConfig(n_train=0, pfa=0.1)
     with pytest.raises(ConfigError):
-        cfar_threshold_factor(4, 1.5)
+        CfarConfig(n_train=4, pfa=1.5)
 
 
 def test_cfar_all_zero_no_detections():
     t, = tensor_stream([np.zeros((64, 2, 2))])
-    assert ca_cfar(t, CfarConfig()) == []
+    hits = ca_cfar(t, CfarConfig())
+    assert hits.shape == (0, 3)
+    assert np.issubdtype(hits.dtype, np.integer)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_cfar_rejects_non_finite_power(bad):
+    # one overflowed cell would give the rest of its beam pair NaN
+    # thresholds and drop their hits without a message
+    p = np.ones((32, 2, 2), dtype=np.float32)
+    p[5, 1, 0] = bad
+    with pytest.raises(ConfigError, match="sweep 0.*run.mti_taps"):
+        ca_cfar(raw_tensor(p), CfarConfig())
 
 
 def test_cfar_detects_strong_impulse():
@@ -157,8 +176,8 @@ def test_cfar_detects_strong_impulse():
     p = rng.exponential(1.0, (128, 1, 1))
     p[60, 0, 0] = 1000.0
     t, = tensor_stream([p])
-    dets = ca_cfar(t, CfarConfig(n_train=8, n_guard=2, pfa=1e-3))
-    assert any(d.range_idx == 60 for d in dets)
+    hits = ca_cfar(t, CfarConfig(n_train=8, n_guard=2, pfa=1e-3))
+    assert 60 in hits[:, 0]
 
 
 def test_cfar_scale_invariance():
@@ -168,11 +187,7 @@ def test_cfar_scale_invariance():
     t1, = tensor_stream([p])
     make_tensor.k = 0
     t2 = make_tensor(7.3 * p)
-    d1 = ca_cfar(t1, CfarConfig())
-    d2 = ca_cfar(t2, CfarConfig())
-    assert [(d.range_idx, d.tx_idx, d.rx_idx) for d in d1] == [
-        (d.range_idx, d.tx_idx, d.rx_idx) for d in d2
-    ]
+    assert np.array_equal(ca_cfar(t1, CfarConfig()), ca_cfar(t2, CfarConfig()))
 
 
 def test_cfar_window_too_large():
@@ -185,8 +200,7 @@ def test_cfar_empirical_pfa_exponential_noise():
     rng = np.random.default_rng(9)
     p = rng.exponential(1.0, (512, 20, 20))
     t, = tensor_stream([p])
-    dets = ca_cfar(t, CfarConfig(pfa=1e-3))
-    rate = len(dets) / p.size
+    rate = len(ca_cfar(t, CfarConfig(pfa=1e-3))) / p.size
     assert 3e-4 <= rate <= 3e-3  # coarse check; tight one in acceptance
 
 
@@ -195,15 +209,10 @@ def test_cfar_edge_cells_calibrated():
     rng = np.random.default_rng(10)
     p = rng.exponential(1.0, (24, 100, 100))
     t, = tensor_stream([p])
-    dets = ca_cfar(t, CfarConfig(n_train=8, n_guard=2, pfa=1e-2))
-    edge = [d for d in dets if d.range_idx < 4 or d.range_idx >= 20]
+    r = ca_cfar(t, CfarConfig(n_train=8, n_guard=2, pfa=1e-2))[:, 0]
     n_edge_cells = 8 * 100 * 100
-    rate = len(edge) / n_edge_cells
+    rate = np.count_nonzero((r < 4) | (r >= 20)) / n_edge_cells
     assert 0.3e-2 <= rate <= 3e-2
-
-
-def cfar_tuples(dets):
-    return [(d.range_idx, d.tx_idx, d.rx_idx, d.power) for d in dets]
 
 
 def raw_tensor(power):
@@ -237,8 +246,8 @@ def test_cfar_identical_to_gather(dtype, extra_bins, n_train, n_guard, pfa):
     t = raw_tensor(p.astype(dtype))
     cfg = CfarConfig(n_train=n_train, n_guard=n_guard, pfa=pfa)
     got = ca_cfar(t, cfg)
-    assert cfar_tuples(got) == cfar_tuples(gather_ca_cfar(t, cfg))
-    assert all(type(d.power) is float for d in got)
+    assert np.issubdtype(got.dtype, np.integer)
+    assert np.array_equal(got, gather_ca_cfar(t, cfg))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -251,8 +260,8 @@ def test_cfar_cell_at_threshold_is_not_a_hit(dtype):
     p[3, 0, 0] = 2.0
     p[3, 0, 1] = np.nextafter(dtype(2.0), dtype(3.0))
     t = raw_tensor(p)
-    assert [(d.range_idx, d.rx_idx) for d in ca_cfar(t, cfg)] == [(3, 1)]
-    assert cfar_tuples(ca_cfar(t, cfg)) == cfar_tuples(gather_ca_cfar(t, cfg))
+    assert ca_cfar(t, cfg).tolist() == [[3, 0, 1]]
+    assert np.array_equal(ca_cfar(t, cfg), gather_ca_cfar(t, cfg))
 
 
 def test_cfar_memory_bounded_at_paper_size():
@@ -264,14 +273,12 @@ def test_cfar_memory_bounded_at_paper_size():
     assert t.power.dtype == np.float32
     tracemalloc.start()
     try:
-        dets = ca_cfar(t, CfarConfig(pfa=1e-6))
+        hits = ca_cfar(t, CfarConfig(pfa=1e-6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 7 * 2**20
-    assert cfar_tuples(dets) == cfar_tuples(
-        gather_ca_cfar(t, CfarConfig(pfa=1e-6))
-    )
+    assert np.array_equal(hits, gather_ca_cfar(t, CfarConfig(pfa=1e-6)))
 
 
 @pytest.mark.parametrize("pfa", [5e-324, 5.5e-309, np.float64(1e-320)])
@@ -286,63 +293,59 @@ def test_cfar_config_rejects_pfa_whose_factor_overflows(pfa):
 # ------------------------------------------------------------- DBSCAN
 
 
-def det(r, t=0, x=0, p=1.0):
-    return Detection(range_idx=r, tx_idx=t, rx_idx=x, power=p)
+def cells(*rows):
+    """(range_idx, tx_idx, rx_idx) rows as a CFAR hit array; a bare
+    int is a range index at beam pair (0, 0)."""
+    rows = [(r, 0, 0) if isinstance(r, int) else r for r in rows]
+    return np.array(rows, dtype=np.intp).reshape(-1, 3)
+
+
+def as_lists(result):
+    members, noise = result
+    return [m.tolist() for m in members], np.asarray(noise).tolist()
 
 
 def test_dbscan_two_groups():
-    dets = [det(i) for i in (10, 11, 12, 13, 14, 30, 31, 32, 33, 34)]
-    clusters, noise = dbscan(dets, DbscanConfig(eps=3.0, min_pts=3))
+    idx = cells(10, 11, 12, 13, 14, 30, 31, 32, 33, 34)
+    clusters, noise = dbscan(idx, DbscanConfig(eps=3.0, min_pts=3))
     assert len(clusters) == 2
-    assert noise == []
+    assert len(noise) == 0
     assert sorted(len(c) for c in clusters) == [5, 5]
 
 
 def test_dbscan_single_point_is_noise():
-    clusters, noise = dbscan([det(5)], DbscanConfig(eps=3.0, min_pts=2))
-    assert clusters == []
-    assert noise == [0]
+    result = dbscan(cells(5), DbscanConfig(eps=3.0, min_pts=2))
+    assert as_lists(result) == ([], [0])
 
 
 def test_dbscan_empty():
-    assert dbscan([], DbscanConfig()) == ([], [])
+    assert as_lists(dbscan(cells(), DbscanConfig())) == ([], [])
+
+
+def random_cells(rng, n, r_max, t_max, x_max):
+    return np.column_stack(
+        [rng.integers(0, r_max, n), rng.integers(0, t_max, n),
+         rng.integers(0, x_max, n)]
+    )
 
 
 def test_dbscan_partition_property():
     rng = np.random.default_rng(11)
-    dets = [
-        det(int(r), int(t), int(x))
-        for r, t, x in zip(
-            rng.integers(0, 60, 150),
-            rng.integers(0, 8, 150),
-            rng.integers(0, 8, 150),
-        )
-    ]
+    idx = random_cells(rng, 150, 60, 8, 8)
     cfg = DbscanConfig(eps=3.0, min_pts=3)
-    clusters, noise = dbscan(dets, cfg)
+    clusters, noise = as_lists(dbscan(idx, cfg))
     seen = sorted(i for c in clusters for i in c) + sorted(noise)
-    assert sorted(seen) == list(range(len(dets)))
+    assert sorted(seen) == list(range(len(idx)))
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_dbscan_matches_reference(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 200))
-    dets = [
-        det(int(r), int(t), int(x))
-        for r, t, x in zip(
-            rng.integers(0, 40, n), rng.integers(0, 6, n), rng.integers(0, 6, n)
-        )
-    ]
+    idx = random_cells(rng, n, 40, 6, 6)
     cfg = DbscanConfig(eps=3.0, min_pts=3)
-    clusters, noise = dbscan(dets, cfg)
-    pts = np.array(
-        [
-            (d.range_idx * cfg.range_scale, d.tx_idx * cfg.tx_scale,
-             d.rx_idx * cfg.rx_scale)
-            for d in dets
-        ]
-    )
+    clusters, noise = as_lists(dbscan(idx, cfg))
+    pts = idx * np.array([cfg.range_scale, cfg.tx_scale, cfg.rx_scale])
     ref_core_labels, ref_n, ref_noise = reference_dbscan(
         pts, cfg.eps, cfg.min_pts
     )
@@ -381,53 +384,47 @@ def test_dbscan_identical_to_bfs(name, n):
     # at this density core, border and noise points are all common,
     # and some border points are reached by two clusters
     m = n - n // 8
-    cells = list(
-        zip(rng.integers(0, max(n // 4, 4), m), rng.integers(0, 6, m),
-            rng.integers(0, 6, m))
-    )
-    cells += [cells[k] for k in rng.integers(0, m, n - m)]  # duplicates
-    dets = [det(*map(int, cells[k])) for k in rng.permutation(n)]
-    assert dbscan(dets, cfg) == bfs_dbscan(dets, cfg)
+    idx = random_cells(rng, m, max(n // 4, 4), 6, 6)
+    idx = np.concatenate([idx, idx[rng.integers(0, m, n - m)]])  # duplicates
+    idx = idx[rng.permutation(n)]
+    assert as_lists(dbscan(idx, cfg)) == bfs_dbscan(idx, cfg)
 
 
 def test_dbscan_pair_at_exactly_eps_is_neighbour():
     cfg = DbscanConfig(eps=3.0, min_pts=2)  # scales (1, 2, 2)
-    assert dbscan([det(0), det(3)], cfg) == ([[0, 1]], [])
-    assert dbscan([det(0), det(1, 1, 1)], cfg) == ([[0, 1]], [])
-    assert dbscan([det(0), det(4)], cfg) == ([], [0, 1])
+    assert as_lists(dbscan(cells(0, 3), cfg)) == ([[0, 1]], [])
+    assert as_lists(dbscan(cells(0, (1, 1, 1)), cfg)) == ([[0, 1]], [])
+    assert as_lists(dbscan(cells(0, 4), cfg)) == ([], [0, 1])
 
 
 def test_dbscan_border_joins_earliest_cluster():
     # the border point at range 5 reaches one core point of each group
     # but is not core itself; it joins the cluster whose lowest-index
     # core point comes first
-    group_b = [det(8), det(9), det(10), det(9, 1)]
-    group_a = [det(0), det(1), det(2), det(1, 1)]
-    dets = group_b + [det(5)] + group_a
+    group_b = [8, 9, 10, (9, 1, 0)]
+    group_a = [0, 1, 2, (1, 1, 0)]
+    idx = cells(*group_b, 5, *group_a)
     cfg = DbscanConfig(eps=3.0, min_pts=4)
     expected = ([[0, 1, 2, 3, 4], [5, 6, 7, 8]], [])
-    assert bfs_dbscan(dets, cfg) == expected
-    assert dbscan(dets, cfg) == expected
+    assert bfs_dbscan(idx, cfg) == expected
+    assert as_lists(dbscan(idx, cfg)) == expected
 
 
 def test_dbscan_memory_bounded_at_45x45_stress_size():
     # ~11,400 hits: a 512 x 45 x 45 sweep at pfa 1e-3.  A dense distance
     # matrix would need ~6 GB here.
     rng = np.random.default_rng(45)
-    cells = np.sort(rng.choice(512 * 45 * 45, 11_400, replace=False))
-    dets = [
-        det(int(r), int(t), int(x))
-        for r, t, x in zip(*np.unravel_index(cells, (512, 45, 45)))
-    ]
+    flat = np.sort(rng.choice(512 * 45 * 45, 11_400, replace=False))
+    idx = np.column_stack(np.unravel_index(flat, (512, 45, 45)))
     tracemalloc.start()
     try:
-        clusters, noise = dbscan(dets, DbscanConfig())
+        clusters, noise = dbscan(idx, DbscanConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert sorted(noise + [i for c in clusters for i in c]) == list(
-        range(len(dets))
+    assert sorted(np.concatenate([noise, *clusters]).tolist()) == list(
+        range(len(idx))
     )
 
 
@@ -451,49 +448,104 @@ def test_dbscan_config_rejects_values_that_overflow_distances(field):
 # ------------------------------------------------- cluster measurement
 
 
-def test_cluster_single_member_measurement():
+def measure(shape, hits, eps=3.0, scale=1.0):
+    """The clusters cluster_detections forms from hits, each a
+    (range_idx, tx_idx, rx_idx, power) tuple written into a zero
+    tensor of the given shape; every hit is a core point."""
+    p = np.zeros(shape)
+    for r, t, x, power in hits:
+        p[r, t, x] = scale * power
     make_tensor.k = 0
-    t = make_tensor(np.zeros((200, 1, 1)), bin_size_m=0.3049)
-    c = make_cluster((det(164, 0, 0, p=2.0),), t)
+    tensor = make_tensor(p)
+    idx = cells(*(h[:3] for h in hits))
+    clusters, _ = cluster_detections(
+        idx, DbscanConfig(eps=eps, min_pts=1), tensor
+    )
+    return clusters, tensor
+
+
+def test_cluster_single_member_measurement():
+    (c,), t = measure((200, 1, 1), [(164, 0, 0, 2.0)])
     assert c.centroid_range_m == pytest.approx(164 * 0.3049)
     assert c.centroid_angle_deg == pytest.approx(-10.0)  # single angle entry
     assert c.total_power == pytest.approx(2.0)
 
 
 def test_cluster_symmetric_angles_cancel():
-    t = make_tensor(np.zeros((32, 3, 3)))
     # tx angles are (-10, 0, 10); equal powers at +/-10 average to 0
-    c = make_cluster(
-        (det(5, 0, 0, p=1.0), det(5, 2, 2, p=1.0)), t
-    )
+    (c,), _ = measure((32, 3, 3), [(5, 0, 0, 1.0), (5, 2, 2, 1.0)], eps=10.0)
     assert c.centroid_angle_deg == pytest.approx(0.0)
 
 
 def test_cluster_power_scale_invariance():
-    t = make_tensor(np.zeros((32, 3, 3)))
-    m1 = make_cluster((det(4, 0, 1, 1.0), det(8, 1, 2, 3.0)), t)
-    m2 = make_cluster((det(4, 0, 1, 2.0), det(8, 1, 2, 6.0)), t)
+    hits = [(4, 0, 1, 1.0), (8, 1, 2, 3.0)]
+    (m1,), _ = measure((32, 3, 3), hits, eps=10.0)
+    (m2,), _ = measure((32, 3, 3), hits, eps=10.0, scale=2.0)
     assert m1.centroid_range_m == pytest.approx(m2.centroid_range_m)
     assert m1.centroid_angle_deg == pytest.approx(m2.centroid_angle_deg)
 
 
 def test_cluster_centroid_in_hull():
-    t = make_tensor(np.zeros((64, 3, 3)))
-    members = (det(10, 0, 0, 1.0), det(20, 2, 2, 5.0))
-    c = make_cluster(members, t)
+    (c,), t = measure((64, 3, 3), [(10, 0, 0, 1.0), (20, 2, 2, 5.0)], eps=20.0)
     assert 10 * t.bin_size_m <= c.centroid_range_m <= 20 * t.bin_size_m
 
 
 def test_cluster_detections_end_to_end():
+    idx = cells(10, 11, 12, (40, 2, 2))
     p = np.zeros((64, 3, 3))
+    p[tuple(idx.T)] = 1.0
     t, = tensor_stream([p])
-    dets = [det(10), det(11), det(12), det(40, 2, 2)]
-    clusters, noise = cluster_detections(dets, DbscanConfig(), t)
+    clusters, noise = cluster_detections(idx, DbscanConfig(), t)
     assert len(clusters) == 1
-    assert len(noise) == 1
+    assert noise.tolist() == [3]
 
 
-def test_empty_cluster_rejected():
-    t = make_tensor(np.zeros((8, 1, 1)))
-    with pytest.raises(ConfigError):
-        make_cluster((), t)
+def clutter_sweep(seed, shape=(128, 21, 21)):
+    """One post-MTI float32 power sweep of complex-Gaussian noise on a
+    2.5 deg beam grid, its angles plain floats as a tensor file gives.
+    A 3 x 3 x 3 block of strong cells appears in the second sweep, so
+    even pfa 1e-6 leaves a multi-hit cluster."""
+    rng = np.random.default_rng(seed)
+    angles = tuple(np.linspace(-25.0, 25.0, shape[1]).tolist())
+    mti = MtiFilter()
+    for k in range(2):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        power = np.abs(z) ** 2
+        if k == 1:
+            power[60:63, 8:11, 9:12] += rng.uniform(1e2, 1e3, (3, 3, 3))
+        out, _ = mti.apply(RaTensor(
+            power=power.astype(np.float32), tx_angles_deg=angles,
+            rx_angles_deg=angles, sweep_index=k, t_start_s=0.2 * k,
+            bin_size_m=0.3049,
+        ))
+    return out
+
+
+@pytest.mark.parametrize("min_pts", [1, 3])
+@pytest.mark.parametrize("pfa", [1e-3, 1e-6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cluster_detections_identical_to_object_path(seed, pfa, min_pts):
+    # centroids from index columns equal, bit for bit and in order, the
+    # object path's: one Detection per hit and one make_cluster per
+    # group.  min_pts 1 makes every isolated hit a one-member cluster.
+    t = clutter_sweep(seed)
+    cfar, db = CfarConfig(pfa=pfa), DbscanConfig(min_pts=min_pts)
+    clusters, _ = cluster_detections(ca_cfar(t, cfar), db, t)
+    got = [
+        (c.centroid_range_m, c.centroid_angle_deg, c.total_power)
+        for c in clusters
+    ]
+    assert got == object_clusters(t, cfar, db)
+    sizes = [len(m) for m in dbscan(ca_cfar(t, cfar), db)[0]]
+    assert max(sizes) > 1
+    if min_pts == 1:
+        assert 1 in sizes
+
+
+def test_cluster_detections_empty_hit_set():
+    t, = tensor_stream([np.zeros((64, 3, 3))])
+    clusters, noise = cluster_detections(
+        ca_cfar(t, CfarConfig()), DbscanConfig(), t
+    )
+    assert clusters == [] and len(noise) == 0
+    assert object_clusters(t, CfarConfig(), DbscanConfig()) == []

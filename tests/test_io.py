@@ -713,6 +713,23 @@ MUTATION = st.one_of(
 )
 
 
+@pytest.mark.parametrize("tap,code", [(1e17, 0), (3e17, 2), (1e300, 2)])
+def test_cli_mti_tap_overflow_exit_code(tmp_path, capsys, tap, code):
+    # from ~2e17 the MTI output at MOVER's 1e4 reflector overflows
+    # float32; the sweep is refused, not tracked with its hits dropped
+    (tmp_path / "in.ratn").write_bytes(MOVER)
+    capsys.readouterr()
+    assert main([
+        "track", "--tensors", str(tmp_path / "in.ratn"), "--config",
+        write_config(tmp_path, {"run": {"mti_taps": [tap, -tap]}}),
+        "--out", str(tmp_path / "out"),
+    ]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "sweep 1:" in err and "run.mti_taps" in err
+
+
 def csv_values_finite(path):
     for line in path.read_text().splitlines()[1:]:
         for cell in line.split(","):

@@ -22,7 +22,7 @@ def track(tid, x, y, vx=0.0, vy=0.0, status=TrackStatus.CONFIRMED):
 
 def cluster_at(x, y):
     return Cluster(
-        members=(), centroid_range_m=float(np.hypot(x, y)),
+        centroid_range_m=float(np.hypot(x, y)),
         centroid_angle_deg=float(np.degrees(np.arctan2(x, y))),
         total_power=1.0,
     )
