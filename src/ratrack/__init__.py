@@ -40,6 +40,6 @@ from .tracker import (
     measurement_model,
     polar_to_cartesian,
 )
-from .waveform import ResourceGrid, WaveformConfig, build_grid
+from .waveform import WaveformConfig
 
 __version__ = "0.1.0"

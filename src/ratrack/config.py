@@ -16,6 +16,7 @@ from .channel import BeamCodebook, SceneConfig, TargetTruth, default_codebook
 from .detector import CfarConfig, DbscanConfig
 from .errors import ConfigError, finite_floats, require_int, require_real
 from .receiver import DEFAULT_N_RANGE
+from .tensorfile import _MAX_ABS_T_S
 from .tracker import TrackerConfig
 from .waveform import WaveformConfig
 
@@ -99,7 +100,7 @@ def from_dict(doc: dict) -> PipelineConfig:
     for name, section in doc.items():
         if not isinstance(section, dict):
             raise ConfigError(f"[{name}] must be a mapping, got {section!r}")
-    return PipelineConfig(
+    cfg = PipelineConfig(
         waveform=_build(WaveformConfig, doc.get("waveform", {}), "waveform"),
         codebook=_build_codebook(doc.get("codebook", {})),
         scene=_build_scene(doc.get("scene", {})),
@@ -108,6 +109,15 @@ def from_dict(doc: dict) -> PipelineConfig:
         tracker=_build(TrackerConfig, doc.get("tracker", {}), "tracker"),
         run=_build(RunConfig, doc.get("run", {}), "run"),
     )
+    # sweep k starts at k * sweep_period_s; the last start must fit the
+    # tensor file's time field, or simulate writes a file track rejects
+    if cfg.run.n_sweeps - 1 > _MAX_ABS_T_S / cfg.scene.sweep_period_s:
+        raise ConfigError(
+            f"run.n_sweeps {cfg.run.n_sweeps} at scene.sweep_period_s "
+            f"{cfg.scene.sweep_period_s:g} starts the last sweep after "
+            f"{_MAX_ABS_T_S:g} s"
+        )
+    return cfg
 
 
 def load(path: str | Path) -> PipelineConfig:

@@ -1,23 +1,17 @@
-"""OFDM transmit grid generation.
+"""OFDM numerology of one beam dwell.
 
-The transmit payload is uniform random QPSK on every active subcarrier:
-the sensing receiver only needs a *known* unit-magnitude grid to divide
-out.
+The simulator never forms the transmitted grid: its channel estimate
+divides out a known unit-magnitude grid, so only the numerology below
+matters to it (see receiver.sweep).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConfigError, FrameError, require_int, require_real
+from .errors import ConfigError, require_int, require_real
 
 C_LIGHT = 299_792_458.0
-
-QPSK_ALPHABET = np.array(
-    [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128
-) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -26,7 +20,9 @@ class WaveformConfig:
 
     Defaults match a 400 MHz FR2 carrier: 275 resource blocks at
     120 kHz subcarrier spacing (3300 active subcarriers, 396 MHz
-    occupied).
+    occupied).  cp_len and seed describe the transmitted CP-OFDM frame
+    (cyclic prefix length, QPSK payload seed); the simulator reads
+    neither.
     """
 
     n_rb: int = 275
@@ -64,23 +60,3 @@ class WaveformConfig:
     def range_bin_m(self) -> float:
         """Width of one range bin after the range IFFT."""
         return C_LIGHT / (2.0 * self.scs_hz * self.fft_size)
-
-
-@dataclass(frozen=True)
-class ResourceGrid:
-    """Frequency-domain symbol grid, [active_subcarriers x n_symbols]."""
-
-    data: np.ndarray
-    config: WaveformConfig = field(repr=False)
-
-    def __post_init__(self):
-        expected = (self.config.active_subcarriers, self.config.n_symbols)
-        if self.data.shape != expected:
-            raise FrameError(f"grid shape {self.data.shape}, expected {expected}")
-
-
-def build_grid(cfg: WaveformConfig) -> ResourceGrid:
-    """Draw a uniform random QPSK grid, deterministic per cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
-    idx = rng.integers(0, 4, size=(cfg.active_subcarriers, cfg.n_symbols))
-    return ResourceGrid(data=QPSK_ALPHABET[idx], config=cfg)

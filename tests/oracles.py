@@ -2,11 +2,11 @@
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ratrack import FrameError, ResourceGrid, WaveformConfig
+from ratrack import FrameError, WaveformConfig
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -195,11 +195,36 @@ def finite_difference_jacobian(fn, x: np.ndarray, step: float = 1e-6):
 
 # -- CP-OFDM time-domain reference --------------------------------------
 #
-# The simulator works in the frequency domain: it never builds samples,
-# and models a path's delay as a phase ramp across subcarriers.  These
-# functions are the time-domain transceiver that shortcut stands in for,
-# with the unitary DFT convention (1/sqrt(N) both ways) so energy
+# The simulator works in the frequency domain: it never builds a grid or
+# samples, models a path's delay as a phase ramp across subcarriers, and
+# draws each pair's symbol-averaged noise directly.  These functions are
+# the transmit grid and time-domain transceiver that shortcut stands in
+# for, with the unitary DFT convention (1/sqrt(N) both ways) so energy
 # bookkeeping is symmetric.
+
+QPSK_ALPHABET = np.array(
+    [1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], dtype=np.complex128
+) / np.sqrt(2.0)
+
+
+@dataclass(frozen=True)
+class ResourceGrid:
+    """Frequency-domain symbol grid, [active_subcarriers x n_symbols]."""
+
+    data: np.ndarray
+    config: WaveformConfig = field(repr=False)
+
+    def __post_init__(self):
+        expected = (self.config.active_subcarriers, self.config.n_symbols)
+        if self.data.shape != expected:
+            raise FrameError(f"grid shape {self.data.shape}, expected {expected}")
+
+
+def build_grid(cfg: WaveformConfig) -> ResourceGrid:
+    """Draw a uniform random QPSK grid, deterministic per cfg.seed."""
+    rng = np.random.default_rng(cfg.seed)
+    idx = rng.integers(0, 4, size=(cfg.active_subcarriers, cfg.n_symbols))
+    return ResourceGrid(data=QPSK_ALPHABET[idx], config=cfg)
 
 
 @dataclass(frozen=True)

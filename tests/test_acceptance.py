@@ -63,27 +63,27 @@ def sha256(data) -> str:
 
 
 # SHA-256 of the `ratrack e2e` outputs on the criterion-6 and criterion-9
-# scenarios (same under numpy 2.2.6 and 2.4.6); the pipeline must
-# reproduce them byte for byte
+# scenarios (taken under numpy 2.4.6); the pipeline must reproduce them
+# byte for byte
 E2E_DIGESTS = {
     "detections.csv":
-        "f4bfa4b6c1d70bcdafb1b3ab350ecd7217fb9b4b86f6570b6db73c72c41ea0c6",
+        "94757d0294adbfab9230634aaa71c196242b03b5a680b683e9502651ec3dd97a",
     "tracks.csv":
-        "a3b3641429bfac981f3d270c3dc2c1818ec2981582dad5d47b4985e9d08d4e61",
+        "40774a012c296715517ede8adef545cf9df77d1d20f89a92da182dd88da232ef",
     "truth.csv":
         "9b7731826eb31ff5552ffc69695a70bc53248b94793c6b1087b04549f621b2ec",
     "report_summary.csv":
-        "b96a1352525c7d8f8bb03e6b0730ab100b19ff748ff3d6275ed64f57f69087e6",
+        "b08322af9e560a408ff383bbccba9a19216498815878bf5372f6fe9d7f23e1b7",
 }
 SMALL_DIGESTS = {
     "detections.csv":
-        "1daac18ec6152d299bc336dce2aa92fc40df12614f94b911f4163d29982b1bfc",
+        "642d3d394d6fb758d5b830afdffc05beac5e02f18f3776f19d9b0f6f6e3ede27",
     "tracks.csv":
-        "1991b5ee1eb3d90b666bf3bd19eb4338bceca42ee4a77a3d98cd7ebcf1b2f321",
+        "d6ea686f65b2483c71ebf46bc64c4ecd1925de2e9daae0b921e8540696ca1924",
     "truth.csv":
         "4b5b376e601cb7ac26105cdccdcd49d60a31cef34342773f34d62085c13e4fdf",
     "report_summary.csv":
-        "a4005498502d7b2fcb1fbabec642fde69f26e3463e7656d67578ccf55b26b88b",
+        "706a8932e7df23e62048829736ed3d6853cfc539e6bda470e383e9d2e35ff8e5",
 }
 
 

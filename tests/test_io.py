@@ -219,6 +219,9 @@ def scene_with_target(**target):
         {"codebook": {"tx_angles_deg": ["ab"], "rx_angles_deg": [0.0]}},
         {"scene": [1.0]},
         {"codebook": [1.0]},
+        # the last sweep would start past the tensor file's 1e12 s
+        {"scene": {"sweep_period_s": 1e300}, "run": {"n_sweeps": 2}},
+        {"run": {"n_sweeps": 2**200}},
     ],
 )
 def test_simulator_input_rejected(doc):
@@ -261,6 +264,10 @@ def test_simulator_input_edges_accepted():
     target = cfg.scene.targets[0]
     assert target.pos == (0.0, 5.0) and target.vel == (1.0, 0.0)
     assert cfg.run.mti_taps == (1.0, -2.0, 1.0)
+    # a single sweep starts at 0 whatever the period; the last of two
+    # may start exactly at the tensor file's 1e12 s
+    from_dict({"scene": {"sweep_period_s": 1e300}, "run": {"n_sweeps": 1}})
+    from_dict({"scene": {"sweep_period_s": 1e12}, "run": {"n_sweeps": 2}})
 
 
 @pytest.mark.parametrize(
@@ -841,3 +848,84 @@ def test_cli_track_random_config_exit_code(doc):
         if rc == 0:
             for name in ("detections.csv", "tracks.csv"):
                 assert csv_values_finite(tmp / "out" / name), name
+
+
+@pytest.mark.parametrize("command", ["simulate", "e2e"])
+@pytest.mark.parametrize(
+    "noise_power,code", [(1e30, 0), (1e300, 2), (1.7e308, 2)]
+)
+def test_cli_scene_overflow_exit_code(
+    tmp_path, capsys, command, noise_power, code
+):
+    # from ~1e77 the power tensor overflows float32: the sweep is
+    # refused naming the scene fields, not written as a file track
+    # rejects
+    doc = {**SMALL_CONFIG, "scene": {
+        **SMALL_CONFIG["scene"], "noise_power": noise_power,
+    }}
+    capsys.readouterr()
+    assert main([
+        command, "--config", write_config(tmp_path, doc),
+        "--out", str(tmp_path / "out"),
+    ]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "sweep 0:" in err and "scene.noise_power" in err
+
+
+TINY_SIM = {
+    "waveform": {"n_rb": 2, "fft_size": 64, "n_symbols": 2},
+    "codebook": {"span_deg": 5.0, "step_deg": 5.0},
+    "run": {"n_sweeps": 3, "n_range": 64},
+}
+SCENE_SECTION = st.fixed_dictionaries({}, optional={
+    "noise_power": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+    "leakage_amplitude": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+    "leakage_range_m": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+    "sweep_period_s": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
+    "seed": st.one_of(st.integers(-1, 2**70), NOT_A_NUMBER),
+    "targets": st.lists(
+        st.fixed_dictionaries(
+            {"pos": st.just([1.0, 12.0]), "vel": st.just([0.5, -1.0])},
+            optional={"reflectivity": st.one_of(ANY_FLOAT, NOT_A_NUMBER)},
+        ),
+        max_size=2,
+    ),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=SCENE_SECTION)
+def test_cli_simulate_e2e_random_scene_exit_code(scene):
+    # scene section drawn at random, extreme and wrongly typed values
+    # included, on a tiny fixed waveform and codebook: simulate and e2e
+    # either reject the config (exit 2) or write only finite values
+    # (exit 0) to the per-sweep CSVs (the report writes nan for a
+    # metric with no samples); a file simulate wrote, track reads
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfgp = write_config(tmp, {**TINY_SIM, "scene": scene})
+
+        def run(command, *args):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = main([command, "--config", cfgp,
+                           "--out", str(tmp / command), *args])
+            return rc, err.getvalue()
+
+        runs = (
+            ("simulate", (), ("truth.csv",), (0, 2)),
+            ("e2e", (), ("detections.csv", "tracks.csv", "truth.csv"),
+             (0, 2)),
+            ("track", ("--tensors", str(tmp / "simulate" / "tensors.ratn")),
+             ("detections.csv", "tracks.csv"), (0,)),
+        )
+        for command, args, names, codes in runs:
+            rc, err = run(command, *args)
+            assert rc in codes, (command, err)
+            if command == "simulate" and rc == 2:
+                break  # no file to track
+            for name in names if rc == 0 else ():
+                assert csv_values_finite(tmp / command / name), name

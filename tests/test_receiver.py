@@ -11,14 +11,17 @@ from ratrack import (
     ConfigError,
     SceneConfig,
     TargetTruth,
+    WaveformConfig,
     range_profile,
     sweep,
 )
 from ratrack import receiver
+from ratrack.channel import channel_response
 from ratrack.config import from_dict
 from ratrack.waveform import C_LIGHT
 
 from conftest import E2E_SCENARIO, single_target_scene
+from oracles import build_grid
 
 
 def expected_bin(range_m, cfg):
@@ -179,11 +182,11 @@ def test_tensor_transpose_symmetry(wf_small):
 # not move when its internals are restructured
 TENSOR_DIGESTS = {
     "noisy":
-        "d597ca6be1348f8a9ec1655dded73c58d93e498378b9559f87d38034e6df4150",
+        "acbbb240a0ec0b577d39c6d86cd977b18a59de8893b6e90c487d68dce4464df6",
     "noiseless":
         "5a71cd8420bf27beacf356712720734f985a1c28ead815d871749e31dac0025d",
     "e2e":
-        "a9e0b6ae0492dc0e07faa8b3e078964358cab13a8ee2cd42f5d873b6923dd30d",
+        "b408627aede7fd4a65911ceaf72bf928c1fea17071bc5455cd24b753f91b2d23",
 }
 
 
@@ -288,14 +291,84 @@ def test_sweep_row_error_propagates(wf_small, monkeypatch):
 
 
 def test_sweep_memory_bounded(monkeypatch):
-    # two paper-config rows in flight stay near two rows' working sets
-    # (~4 MB each); the (n_tx, n_rx, K) array (~45 MB) is never built
-    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 2)
+    # paper-config rows in flight stay near one row's working set
+    # (~3 MB) each; even 21 workers stay below the (n_tx, n_rx, K)
+    # array (~45 MB) that is never built
     cfg = from_dict(E2E_SCENARIO)
-    tracemalloc.start()
-    try:
-        sweep(cfg.scene, cfg.codebook, cfg.waveform, 0, cfg.run.n_range)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    for workers, bound_mb in ((2, 12), (21, 45)):
+        monkeypatch.setattr(receiver, "_usable_cpus", lambda: workers)
+        tracemalloc.start()
+        try:
+            sweep(cfg.scene, cfg.codebook, cfg.waveform, 0, cfg.run.n_range)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 2**20, workers
+
+
+@pytest.mark.parametrize("n_symbols", [1, 2, 7])
+@pytest.mark.parametrize("noise_power", [0.01, 400.0])
+def test_direct_noise_matches_explicit_average(
+    monkeypatch, n_symbols, noise_power
+):
+    # sweep draws each pair's symbol-averaged noise directly; the
+    # explicit receiver forms Y = X H + W on a QPSK grid X, with W drawn
+    # per symbol, and averages Y / X.  Both must be CN(0, v) per
+    # subcarrier, v = noise_power / n_symbols: same mean, variance and
+    # circularity (E[z^2] = 0) within 4 standard errors
+    wf = WaveformConfig(
+        n_rb=25, n_symbols=n_symbols, fft_size=512, seed=n_symbols
+    )
+    K = wf.active_subcarriers
+    codebook = BeamCodebook(
+        tx_angles_deg=(-8.0, 0.0, 8.0), rx_angles_deg=(-4.0, 0.0, 4.0)
+    )
+    scene = single_target_scene(
+        20.0, bearing_deg=3.0, leakage_amplitude=2.0,
+        noise_power=noise_power, seed=n_symbols,
+    )
+    noiseless = np.stack([
+        channel_response(scene, codebook, ti, K, wf.scs_hz)
+        for ti in range(3)
+    ])
+    rows = []
+    original = receiver.range_profile
+
+    def capture(h_bar, cfg):
+        rows.append(h_bar.copy())
+        return original(h_bar, cfg)
+
+    # one worker: the tx rows reach range_profile in order
+    monkeypatch.setattr(receiver, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(receiver, "range_profile", capture)
+    sweep(scene, codebook, wf, 0, n_range=64)
+    direct = (np.stack(rows) - noiseless).ravel()
+
+    rng = np.random.default_rng(100 + n_symbols)
+    X = build_grid(wf).data
+    explicit = []
+    for H in noiseless.reshape(-1, K):
+        W = np.sqrt(noise_power / 2) * (
+            rng.standard_normal((K, n_symbols))
+            + 1j * rng.standard_normal((K, n_symbols))
+        )
+        Y = X * H[:, None] + W
+        explicit.append((Y / X).mean(axis=1) - H)
+    explicit = np.concatenate(explicit)
+
+    v = noise_power / n_symbols
+    n = direct.size
+    assert explicit.size == n
+    stats = {}
+    for name, z in (("direct", direct), ("explicit", explicit)):
+        mean, var, circ = z.mean(), np.mean(np.abs(z) ** 2), np.mean(z**2)
+        # |mean|^2 has expectation v / n, E|z^2|^2 = 2 v^2, and |z|^2 is
+        # exponential with standard deviation v
+        assert abs(mean) < 4 * np.sqrt(v / n), name
+        assert abs(var - v) < 4 * v / np.sqrt(n), name
+        assert abs(circ) < 4 * np.sqrt(2 / n) * v, name
+        stats[name] = (mean, var, circ)
+    (m1, v1, c1), (m2, v2, c2) = stats["direct"], stats["explicit"]
+    assert abs(m1 - m2) < 4 * np.sqrt(2 * v / n)
+    assert abs(v1 - v2) < 4 * v * np.sqrt(2 / n)
+    assert abs(c1 - c2) < 4 * np.sqrt(4 / n) * v

@@ -9,12 +9,18 @@ from ratrack import (
     SceneConfig,
     TargetTruth,
     WaveformConfig,
-    build_grid,
 )
 from ratrack.channel import channel_response
-from ratrack.waveform import C_LIGHT, QPSK_ALPHABET
+from ratrack.waveform import C_LIGHT
 
-from oracles import IqFrame, demodulate, modulate
+from oracles import (
+    QPSK_ALPHABET,
+    IqFrame,
+    ResourceGrid,
+    build_grid,
+    demodulate,
+    modulate,
+)
 
 
 def test_paper_numerology():
@@ -60,8 +66,6 @@ def test_invalid_config_rejected():
 
 
 def test_zero_grid_modulates_to_zero(wf_small):
-    from ratrack.waveform import ResourceGrid
-
     grid = ResourceGrid(
         data=np.zeros((144, 4), dtype=complex), config=wf_small
     )
@@ -72,8 +76,6 @@ def test_zero_grid_modulates_to_zero(wf_small):
 
 
 def test_single_tone_constant_magnitude():
-    from ratrack.waveform import ResourceGrid
-
     cfg = WaveformConfig(
         n_rb=12, fft_size=256, cp_len=0, n_symbols=1, seed=0
     )
