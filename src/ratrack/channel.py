@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, finite_floats, require_int, require_real
+from .errors import (
+    ConfigError, finite_floats, require_fits, require_int, require_real,
+)
 from .waveform import C_LIGHT
 
 
@@ -107,65 +109,73 @@ def default_codebook(
             f"codebook needs finite span_deg >= 0 and step_deg > 0, got "
             f"span_deg {span_deg!r}, step_deg {step_deg!r}"
         )
+    n = 2 * span_deg / step_deg + 1  # angles per side, not yet built
+    require_fits(f"a {n:.4g} x {n:.4g} beam codebook's tensor", 4 * n * n)
     angles = tuple(np.arange(-span_deg, span_deg + step_deg / 2, step_deg))
     return BeamCodebook(tx_angles_deg=angles, rx_angles_deg=angles)
 
 
-def array_factor(
-    steer_deg: float,
-    target_deg: float,
-    n_elements: int = 8,
-    spacing: float = 0.5,
-) -> complex:
+def array_factor(steer_deg, target_deg, n_elements: int = 8,
+                 spacing: float = 0.5):
     """Normalized ULA array factor for a beam steered at steer_deg
-    evaluated at a target bearing target_deg.
+    evaluated at a target bearing target_deg; the angles broadcast.
 
     Magnitude is <= 1 with equality iff sin(steer) == sin(target).
     """
     u = np.sin(np.radians(target_deg)) - np.sin(np.radians(steer_deg))
     m = np.arange(n_elements)
-    return complex(np.mean(np.exp(1j * 2.0 * np.pi * m * spacing * u)))
+    phase = 1j * 2.0 * np.pi * m * spacing * np.expand_dims(u, -1)
+    return np.mean(np.exp(phase), axis=-1)
 
 
-def channel_response(
-    scene: SceneConfig,
-    codebook: BeamCodebook,
-    tx_idx: int,
-    n_subcarriers: int,
-    scs_hz: float,
-) -> np.ndarray:
-    """Noiseless per-subcarrier channel from tx beam tx_idx to every rx
-    beam, [n_rx x n_subcarriers].
+class ChannelPlan:
+    """One sweep's noiseless channel from the terms no tx beam changes:
+    each target's delay ramp exp(-j 2 pi k scs tau) and its array
+    factors toward every tx and rx beam (one evaluation per codebook
+    side), and the leakage path's scaled ramp (unit beam gains)."""
 
-    H[rx, k] = sum_p a_p G_tx[p] G_rx[p] exp(-j 2 pi k scs tau_p), summed
-    over the targets and then the leakage path, which has unit beam
-    gains.
-    """
-    if not 0 <= tx_idx < len(codebook.tx_angles_deg):
-        raise ConfigError(f"tx_idx {tx_idx} out of range")
-    tx_deg = codebook.tx_angles_deg[tx_idx]
-    n, spacing = codebook.n_elements, codebook.element_spacing_wavelengths
-    k = np.arange(n_subcarriers)
+    def __init__(self, scene: SceneConfig, codebook: BeamCodebook,
+                 n_subcarriers: int, scs_hz: float):
+        k = np.arange(n_subcarriers)
 
-    def ramp(range_m: float) -> np.ndarray:
-        tau = 2.0 * range_m / C_LIGHT
-        return np.exp(-1j * 2.0 * np.pi * k * scs_hz * tau)
+        def ramp(range_m: float) -> np.ndarray:
+            tau = 2.0 * range_m / C_LIGHT
+            return np.exp(-1j * 2.0 * np.pi * k * scs_hz * tau)
 
-    h = np.zeros(
-        (len(codebook.rx_angles_deg), n_subcarriers), dtype=np.complex128
-    )
-    for target in scene.targets:
-        x, y = target.pos
-        bearing = float(np.degrees(np.arctan2(x, y)))
-        g_tx = target.reflectivity * array_factor(tx_deg, bearing, n, spacing)
-        gains = np.array([
-            g_tx * array_factor(rx_deg, bearing, n, spacing)
-            for rx_deg in codebook.rx_angles_deg
-        ])
-        h += gains[:, None] * ramp(float(np.hypot(x, y)))
-    if scene.leakage_amplitude > 0:
-        h += scene.leakage_amplitude * ramp(scene.leakage_range_m)
-    return h
+        xy = [t.pos for t in scene.targets]
+        bearings = [float(np.degrees(np.arctan2(x, y))) for x, y in xy]
+        n, d = codebook.n_elements, codebook.element_spacing_wavelengths
+        tx, rx = (array_factor(np.array(a)[:, None], bearings, n, d)
+                  for a in (codebook.tx_angles_deg, codebook.rx_angles_deg))
+        # [beam][target] as Python complex: the pair gain g_tx * g_rx
+        # must be a Python product (numpy's complex scalar-times-array
+        # product can differ in the last bit)
+        self.g_tx = [[t.reflectivity * g for t, g in zip(scene.targets, row)]
+                     for row in tx.tolist()]
+        self.g_rx = rx.T.tolist()
+        self.ramps = [ramp(float(np.hypot(x, y))) for x, y in xy]
+        self.leakage = (scene.leakage_amplitude * ramp(scene.leakage_range_m)
+                        if scene.leakage_amplitude > 0 else None)
+        self.shape = (len(codebook.rx_angles_deg), n_subcarriers)
+
+    def row(self, tx_idx: int) -> np.ndarray:
+        """Channel from tx beam tx_idx to every rx beam, [n_rx x K]:
+        H[rx, k] = sum_p a_p G_tx[p] G_rx[p] exp(-j 2 pi k scs tau_p),
+        over the targets in scene order and then the leakage path."""
+        if not 0 <= tx_idx < len(self.g_tx):
+            raise ConfigError(f"tx_idx {tx_idx} out of range")
+        h = np.zeros(self.shape, dtype=np.complex128)
+        for g, g_rx, ramp in zip(self.g_tx[tx_idx], self.g_rx, self.ramps):
+            h += np.array([g * gr for gr in g_rx])[:, None] * ramp
+        if self.leakage is not None:
+            h += self.leakage
+        return h
+
+
+def channel_response(scene: SceneConfig, codebook: BeamCodebook, tx_idx: int,
+                     n_subcarriers: int, scs_hz: float) -> np.ndarray:
+    """One tx beam's channel to every rx beam: ChannelPlan(...).row."""
+    return ChannelPlan(scene, codebook, n_subcarriers, scs_hz).row(tx_idx)
 
 
 def advance(scene: SceneConfig, dt_s: float) -> SceneConfig:

@@ -7,6 +7,7 @@ error.  Set RATRACK_LOG=debug|info|warning to control verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -100,10 +101,12 @@ def cmd_e2e(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     truth_log: pipeline.TruthLog = {}
-    with _open_csv(out / "truth.csv", pipeline.TRUTH_HEADER) as truth_fh:
+    # closing stops the sweep pool even if tracking raises mid-stream
+    with _open_csv(out / "truth.csv", pipeline.TRUTH_HEADER) as truth_fh, \
+            contextlib.closing(pipeline.simulate_sweeps(cfg)) as sims:
 
         def tensors():
-            for tensor, truth in pipeline.simulate_sweeps(cfg):
+            for tensor, truth in sims:
                 truth_log[tensor.sweep_index] = truth
                 truth_fh.write(pipeline.truth_rows(tensor.sweep_index, truth))
                 yield tensor

@@ -14,9 +14,11 @@ import yaml
 
 from .channel import BeamCodebook, SceneConfig, TargetTruth, default_codebook
 from .detector import CfarConfig, DbscanConfig
-from .errors import ConfigError, finite_floats, require_int, require_real
+from .errors import (
+    ConfigError, finite_floats, require_fits, require_int, require_real,
+)
 from .receiver import DEFAULT_N_RANGE
-from .tensorfile import _MAX_ABS_T_S
+from .tensorfile import _MAX_ABS_T_S, _MAX_RANGE_M
 from .tracker import TrackerConfig
 from .waveform import WaveformConfig
 
@@ -117,6 +119,18 @@ def from_dict(doc: dict) -> PipelineConfig:
             f"{cfg.scene.sweep_period_s:g} starts the last sweep after "
             f"{_MAX_ABS_T_S:g} s"
         )
+    bin_m = cfg.waveform.range_bin_m  # and the last bin must fit its range
+    if bin_m > _MAX_RANGE_M / cfg.run.n_range:
+        raise ConfigError(
+            f"{cfg.run.n_range} range bins of {bin_m:g} m (waveform.scs_hz "
+            f"x fft_size too small) pass the tensor file's {_MAX_RANGE_M:g} m"
+        )
+    # a tx row's range IFFT and the sweep's tensor, before either exists
+    n_tx, n_rx = len(cfg.codebook.tx_angles_deg), len(cfg.codebook.rx_angles_deg)
+    fft, n_range = cfg.waveform.fft_size, cfg.run.n_range
+    require_fits(f"{n_rx} x {fft} complex128 row IFFT", 16 * n_rx * fft)
+    require_fits(f"{n_range} x {n_tx} x {n_rx} float32 tensor",
+                 4 * n_range * n_tx * n_rx)
     return cfg
 
 

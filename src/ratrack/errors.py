@@ -7,6 +7,10 @@ import math
 from numbers import Integral
 
 
+# largest array a configuration may make one sweep allocate
+MAX_ARRAY_BYTES = 2**28
+
+
 class RatrackError(Exception):
     """Base class for all pipeline errors."""
 
@@ -86,3 +90,10 @@ def finite_floats(name: str, values, length: int | None = None):
             f"{name} must be a list of {count}finite numbers, got {values!r}"
         )
     return out
+
+
+def require_fits(what: str, n_bytes: float):
+    """Raise ConfigError unless n_bytes <= MAX_ARRAY_BYTES."""
+    if not n_bytes <= MAX_ARRAY_BYTES:
+        raise ConfigError(f"{what} needs {n_bytes / 2**20:.4g} MiB, over "
+                          f"the {MAX_ARRAY_BYTES >> 20} MiB array budget")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tracker import TrackStatus, gated_pairs
+from .tracker import TrackStatus, gated_pairs, polar_to_cartesian
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,10 @@ class Scorer:
             if g.target_key in self.first_detections:
                 continue
             for c in result.clusters:
-                r, th = c.centroid_range_m, np.radians(c.centroid_angle_deg)
-                if np.hypot(r * np.sin(th) - g.x,
-                            r * np.cos(th) - g.y) <= self.radius_m:
+                x, y = polar_to_cartesian(
+                    c.centroid_range_m, np.radians(c.centroid_angle_deg)
+                )
+                if np.hypot(x - g.x, y - g.y) <= self.radius_m:
                     self.first_detections[g.target_key] = k
                     break
         for t, g, _ in match_to_truth(result.tracks, truths, self.radius_m):

@@ -19,7 +19,7 @@ from .config import PipelineConfig
 from .detector import Cluster, MtiFilter, ca_cfar, cluster_detections
 from .errors import ConfigError
 from .metrics import RunReport, Scorer, TruthEntry, TruthLog
-from .receiver import RaTensor, sweep
+from .receiver import RaTensor, sweep, sweep_pool
 from .tracker import Tracker, TrackState
 
 FLOAT_FMT = "%.9g"
@@ -50,22 +50,19 @@ class SweepResult:
 def simulate_sweeps(
     cfg: PipelineConfig,
 ) -> Iterator[tuple[RaTensor, list[TruthEntry]]]:
-    """Yield (tensor, frozen truth) per sweep, advancing the scene between."""
+    """Yield (tensor, frozen truth) per sweep, advancing the scene
+    between; one sweep pool serves the run until the stream closes."""
     scene = cfg.scene
-    for k in range(cfg.run.n_sweeps):
-        truth = [
-            TruthEntry(
-                target_key=i, x=t.pos[0], y=t.pos[1],
-                vx=t.vel[0], vy=t.vel[1],
+    with sweep_pool(cfg.codebook) as pool:
+        for k in range(cfg.run.n_sweeps):
+            truth = [TruthEntry(i, *t.pos, *t.vel)
+                     for i, t in enumerate(scene.targets)]
+            tensor = sweep(
+                scene, cfg.codebook, cfg.waveform,
+                sweep_index=k, n_range=cfg.run.n_range, pool=pool,
             )
-            for i, t in enumerate(scene.targets)
-        ]
-        tensor = sweep(
-            scene, cfg.codebook, cfg.waveform,
-            sweep_index=k, n_range=cfg.run.n_range,
-        )
-        yield tensor, truth
-        scene = advance(scene, scene.sweep_period_s)
+            yield tensor, truth
+            scene = advance(scene, scene.sweep_period_s)
 
 
 def run_tracking(

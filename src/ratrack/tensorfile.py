@@ -10,15 +10,15 @@ Layout, all little-endian:
 
 Truncated or malformed input is rejected with the offending byte
 offset, and a partial sweep is never yielded.  Malformed means: a count
-below 1, a bin size that is not finite and > 0, a steering angle that
-is not finite and inside (-90, 90), a sweep index that does not
-increase, a start time that does not increase or lies outside
-+-_MAX_ABS_T_S, or a payload value that is negative or not finite.
+below 1, a bin size that is not > 0 or puts the last bin past
+_MAX_RANGE_M, a steering angle that is not finite and inside (-90, 90),
+a sweep index that does not increase, a start time that does not
+increase or lies outside +-_MAX_ABS_T_S, or a payload value that is
+negative or not finite.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import BinaryIO, Iterator
 
@@ -36,6 +36,8 @@ _MAX_READ = 1 << 20
 # the tracker cubes time steps, so start times stay well inside float
 # range: +-1e12 s is ~31,700 years and admits Unix-epoch seconds
 _MAX_ABS_T_S = 1e12
+# ranges are squared downstream; 1e12 m keeps them well inside float range
+_MAX_RANGE_M = 1e12
 
 
 class TensorWriter:
@@ -113,9 +115,10 @@ def read_header(fh: BinaryIO):
     ):
         if count < 1:
             raise FormatError(f"{name} must be >= 1, got {count}", at)
-    if not (math.isfinite(bin_size) and bin_size > 0):
+    if not 0 < bin_size <= _MAX_RANGE_M / n_range:
         raise FormatError(
-            f"bin_size_m must be finite and > 0, got {bin_size}", 18
+            f"bin_size_m must be > 0 and at most {_MAX_RANGE_M:g} m / "
+            f"n_range, got {bin_size}", 18
         )
     offset = _HEADER_FIXED.size
     tables = []

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ratrack import FrameError, WaveformConfig
+from ratrack import ConfigError, FrameError, WaveformConfig
+from ratrack.waveform import C_LIGHT
 
 
 def brute_force_assignment(cost: np.ndarray) -> float:
@@ -191,6 +192,57 @@ def finite_difference_jacobian(fn, x: np.ndarray, step: float = 1e-6):
         lo[i] -= step
         J[:, i] = (np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2 * step)
     return J
+
+
+# -- per-row channel reference -------------------------------------------
+#
+# The channel model as it was before ChannelPlan: every tx row recomputes
+# each path's delay ramp and takes one scalar array factor per beam.
+# ChannelPlan's rows and array-factor tables must equal these bit for bit.
+
+
+def scalar_array_factor(
+    steer_deg: float,
+    target_deg: float,
+    n_elements: int = 8,
+    spacing: float = 0.5,
+) -> complex:
+    """Normalized ULA array factor of one beam at one bearing."""
+    u = np.sin(np.radians(target_deg)) - np.sin(np.radians(steer_deg))
+    m = np.arange(n_elements)
+    return complex(np.mean(np.exp(1j * 2.0 * np.pi * m * spacing * u)))
+
+
+def row_channel_response(scene, codebook, tx_idx, n_subcarriers, scs_hz):
+    """Noiseless channel from tx beam tx_idx to every rx beam,
+    [n_rx x n_subcarriers], built from scratch for this one row."""
+    if not 0 <= tx_idx < len(codebook.tx_angles_deg):
+        raise ConfigError(f"tx_idx {tx_idx} out of range")
+    tx_deg = codebook.tx_angles_deg[tx_idx]
+    n, spacing = codebook.n_elements, codebook.element_spacing_wavelengths
+    k = np.arange(n_subcarriers)
+
+    def ramp(range_m: float) -> np.ndarray:
+        tau = 2.0 * range_m / C_LIGHT
+        return np.exp(-1j * 2.0 * np.pi * k * scs_hz * tau)
+
+    h = np.zeros(
+        (len(codebook.rx_angles_deg), n_subcarriers), dtype=np.complex128
+    )
+    for target in scene.targets:
+        x, y = target.pos
+        bearing = float(np.degrees(np.arctan2(x, y)))
+        g_tx = target.reflectivity * scalar_array_factor(
+            tx_deg, bearing, n, spacing
+        )
+        gains = np.array([
+            g_tx * scalar_array_factor(rx_deg, bearing, n, spacing)
+            for rx_deg in codebook.rx_angles_deg
+        ])
+        h += gains[:, None] * ramp(float(np.hypot(x, y)))
+    if scene.leakage_amplitude > 0:
+        h += scene.leakage_amplitude * ramp(scene.leakage_range_m)
+    return h
 
 
 # -- CP-OFDM time-domain reference --------------------------------------

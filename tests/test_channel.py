@@ -9,10 +9,11 @@ from ratrack import (
     advance,
     array_factor,
 )
-from ratrack.channel import channel_response
+from ratrack.channel import ChannelPlan, channel_response
 from ratrack.waveform import C_LIGHT
 
 from conftest import single_target_scene
+from oracles import row_channel_response, scalar_array_factor
 
 
 def test_array_factor_boresight():
@@ -44,6 +45,77 @@ def test_array_factor_magnitude_bounded():
     for _ in range(50):
         s, t = rng.uniform(-89, 89, size=2)
         assert abs(array_factor(s, t)) <= 1.0 + 1e-12
+
+
+# plan tables and rows against the per-row oracle: 0, 1 and 3 targets
+# (unequal reflectivity, both sides of boresight), with and without
+# leakage, on a non-square codebook with uneven angles
+PLAN_TARGETS = (
+    TargetTruth(pos=(-2.0, 15.0)),
+    TargetTruth(pos=(4.0, 30.0), reflectivity=0.3),
+    TargetTruth(pos=(11.5, 7.25), reflectivity=2.5),
+)
+PLAN_ARRAYS = [(1, 0.5), (8, 0.5), (8, 0.7), (12, 0.7), (16, 0.5), (16, 0.7)]
+
+
+def plan_codebook(n_elements, spacing):
+    return BeamCodebook(
+        tx_angles_deg=(-37.5, -10.0, 0.0, 7.5),
+        rx_angles_deg=(-60.0, -3.0, 4.0, 21.25, 44.0, 71.0),
+        n_elements=n_elements,
+        element_spacing_wavelengths=spacing,
+    )
+
+
+@pytest.mark.parametrize("n_elements,spacing", PLAN_ARRAYS)
+@pytest.mark.parametrize("n_targets", [0, 1, 3])
+def test_plan_array_factor_tables_match_scalar(n_targets, n_elements, spacing):
+    codebook = plan_codebook(n_elements, spacing)
+    targets = PLAN_TARGETS[:n_targets]
+    plan = ChannelPlan(SceneConfig(targets=targets), codebook, 16, 120e3)
+    bearings = [float(np.degrees(np.arctan2(*t.pos))) for t in targets]
+
+    def table(angles):  # [beam][target], one scalar call per entry
+        return [
+            [scalar_array_factor(a, b, n_elements, spacing) for b in bearings]
+            for a in angles
+        ]
+
+    def same(got, expected):  # bit-identical, as complex128
+        got, expected = (
+            np.array(v, dtype=np.complex128).reshape(-1)
+            for v in (got, expected)
+        )
+        return got.tobytes() == expected.tobytes()
+
+    tx, rx = table(codebook.tx_angles_deg), table(codebook.rx_angles_deg)
+    steer = np.array(codebook.tx_angles_deg)[:, None]
+    assert same(array_factor(steer, bearings, n_elements, spacing), tx)
+    # the plan keeps reflectivity * tx gain and the transposed rx table
+    assert same(
+        plan.g_tx,
+        [[t.reflectivity * g for t, g in zip(targets, r)] for r in tx],
+    )
+    assert same(plan.g_rx, [list(c) for c in zip(*rx)])
+
+
+@pytest.mark.parametrize("n_elements,spacing", PLAN_ARRAYS)
+@pytest.mark.parametrize("leakage", [0.0, 5.0])
+@pytest.mark.parametrize("n_targets", [0, 1, 3])
+def test_plan_rows_match_per_row_oracle(
+    wf_small, n_targets, leakage, n_elements, spacing
+):
+    codebook = plan_codebook(n_elements, spacing)
+    scene = SceneConfig(
+        targets=PLAN_TARGETS[:n_targets], leakage_amplitude=leakage
+    )
+    K, scs = wf_small.active_subcarriers, wf_small.scs_hz
+    plan = ChannelPlan(scene, codebook, K, scs)
+    for ti in range(len(codebook.tx_angles_deg)):
+        expected = row_channel_response(scene, codebook, ti, K, scs)
+        assert plan.row(ti).tobytes() == expected.tobytes(), ti
+        assert channel_response(scene, codebook, ti, K, scs).tobytes() \
+            == expected.tobytes(), ti
 
 
 def test_empty_scene_zero(wf_small, small_codebook):

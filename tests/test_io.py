@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 import ratrack
 from ratrack import ConfigError, FormatError, StreamError
 from ratrack.cli import main
+from ratrack import pipeline
 from ratrack.config import from_dict, load
+from ratrack.errors import MAX_ARRAY_BYTES
 from ratrack.receiver import RaTensor
 from ratrack.tensorfile import TensorWriter, read_header, read_sweeps
 
@@ -222,6 +225,8 @@ def scene_with_target(**target):
         # the last sweep would start past the tensor file's 1e12 s
         {"scene": {"sweep_period_s": 1e300}, "run": {"n_sweeps": 2}},
         {"run": {"n_sweeps": 2**200}},
+        # 512 range bins of 3.7e10 m pass the tensor file's 1e12 m
+        {"waveform": {"scs_hz": 1e-6}},
     ],
 )
 def test_simulator_input_rejected(doc):
@@ -268,6 +273,63 @@ def test_simulator_input_edges_accepted():
     # may start exactly at the tensor file's 1e12 s
     from_dict({"scene": {"sweep_period_s": 1e300}, "run": {"n_sweeps": 1}})
     from_dict({"scene": {"sweep_period_s": 1e12}, "run": {"n_sweeps": 2}})
+
+
+def angles(n):
+    return np.linspace(-80.0, 80.0, n).tolist()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # one beam's IFFT alone: 2**40 complex128 bins
+        {"waveform": {"fft_size": 2**40}},
+        # 1e8 angles per side, refused before the tables are built
+        {"codebook": {"step_deg": 1e-6}},
+        {"codebook": {"span_deg": 80.0, "step_deg": 1e-300}},
+        # a tx row's IFFT: 5000 rx beams x 65536 bins (5 GiB); tensor 10 MB
+        {"waveform": {"fft_size": 2**16},
+         "codebook": {"tx_angles_deg": [0.0], "rx_angles_deg": angles(5000)}},
+        # the tensor: 512 x 200 x 1000 float32 (0.4 GiB); row IFFT 62 MiB
+        {"codebook": {"tx_angles_deg": angles(200),
+                      "rx_angles_deg": angles(1000)}},
+        {"run": {"n_range": 2**40}},
+    ],
+)
+def test_allocation_over_budget_rejected(doc):
+    # refused from the sizes alone: tracing shows no large allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="budget"):
+            from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_allocation_budget_edges():
+    # one beam's row IFFT may fill the budget exactly, not one bin more
+    assert 16 * 2**24 == MAX_ARRAY_BYTES
+    one_beam = {"codebook": {"span_deg": 0.0}, "run": {"n_range": 1}}
+    from_dict({**one_beam, "waveform": {"fft_size": 2**24}})
+    with pytest.raises(ConfigError, match="budget"):
+        from_dict({**one_beam, "waveform": {"fft_size": 2**24 + 1}})
+    # 8191 x 8191 float32 beam pairs fit at one range bin; 8193 do not
+    ratrack.default_codebook(span_deg=81.9, step_deg=0.02)
+    with pytest.raises(ConfigError, match="budget"):
+        ratrack.default_codebook(span_deg=81.92, step_deg=0.02)
+
+
+@pytest.mark.parametrize(
+    "doc", [{"waveform": {"fft_size": 2**40}}, {"codebook": {"step_deg": 1e-6}}]
+)
+def test_cli_allocation_over_budget_exit_code(tmp_path, capsys, doc):
+    p = write_config(tmp_path, doc)
+    for command in ("simulate", "e2e"):
+        assert main([command, "--config", p, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "budget" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -400,6 +462,8 @@ BAD_HEADER_FIELDS = [
     ("<d", 18, INF),
     ("<d", 18, 0.0),
     ("<d", 18, -0.3),
+    ("<d", 18, 2.9e306),  # 64 bins past float range
+    ("<d", 18, 1.6e10),  # 64 bins past 1e12 m
     ("<I", 6, 0),  # n_range
     ("<I", 10, 0),  # n_tx
     ("<I", 14, 0),  # n_rx
@@ -525,6 +589,55 @@ def test_cli_report_prints(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--in", str(out)]) == 0
     assert "run report" in capsys.readouterr().out
+
+
+def new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+def test_cli_leaves_no_pool_threads(tmp_path):
+    cfgp = write_config(tmp_path, SMALL_CONFIG)
+    before = threading.enumerate()
+    for command in ("simulate", "e2e"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfgp, "--out", out]) == 0
+        assert new_threads(before) == [], command
+
+
+def test_sweep_stream_pool_stops_on_close_and_error(tmp_path, monkeypatch):
+    cfg = from_dict(SMALL_CONFIG)
+    before = threading.enumerate()
+    # one pool serves the run while it streams, and stops when closed
+    stream = pipeline.simulate_sweeps(cfg)
+    next(stream)
+    alive = new_threads(before)
+    assert alive
+    next(stream)
+    assert new_threads(before) == alive
+    stream.close()
+    assert new_threads(before) == []
+    # an error in the sweep itself (float32 overflow) ends the stream
+    doc = {**SMALL_CONFIG, "scene": {**SMALL_CONFIG["scene"],
+                                     "noise_power": 1e300}}
+    with pytest.raises(ConfigError, match="not finite"):
+        list(pipeline.simulate_sweeps(from_dict(doc)))
+    assert new_threads(before) == []
+    # an error while e2e tracks the stream: the traceback still holds
+    # the stream's frames, and the pool must be gone all the same
+    calls = []
+
+    def failing_rows(result):
+        calls.append(result.sweep_index)
+        if len(calls) == 2:
+            raise RuntimeError("row writer failed")
+        return ""
+
+    monkeypatch.setattr(pipeline, "detection_rows", failing_rows)
+    cfgp = write_config(tmp_path, SMALL_CONFIG)
+    with pytest.raises(RuntimeError) as failure:
+        main(["e2e", "--config", cfgp, "--out", str(tmp_path / "e2e")])
+    assert new_threads(before) == []
+    assert calls == [0, 1] and "row writer failed" in str(failure.value)
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -16,12 +16,12 @@ from ratrack import (
     sweep,
 )
 from ratrack import receiver
-from ratrack.channel import channel_response
+from ratrack.channel import ChannelPlan
 from ratrack.config import from_dict
 from ratrack.waveform import C_LIGHT
 
 from conftest import E2E_SCENARIO, single_target_scene
-from oracles import build_grid
+from oracles import build_grid, row_channel_response
 
 
 def expected_bin(range_m, cfg):
@@ -243,16 +243,16 @@ def test_sweep_independent_of_row_order(wf_small, monkeypatch):
     scene, codebook = noisy_digest_scene()
     expected = sweep(scene, codebook, wf_small, 2, n_range=64).power.tobytes()
     n_tx = len(codebook.tx_angles_deg)
-    original = receiver.channel_response
+    original = ChannelPlan.row
     finished = []
 
-    def slow(scene, codebook, ti, *args):
+    def slow(plan, ti):
         time.sleep((n_tx - ti) * 0.005)
-        out = original(scene, codebook, ti, *args)
+        out = original(plan, ti)
         finished.append(ti)
         return out
 
-    monkeypatch.setattr(receiver, "channel_response", slow)
+    monkeypatch.setattr(ChannelPlan, "row", slow)
     got = sweep(scene, codebook, wf_small, 2, n_range=64).power.tobytes()
     assert sorted(finished) == list(range(n_tx))
     assert got == expected
@@ -278,14 +278,14 @@ def test_sweep_many_workers_fast_switching(wf_small, monkeypatch):
 
 def test_sweep_row_error_propagates(wf_small, monkeypatch):
     scene, codebook = noisy_digest_scene()
-    original = receiver.channel_response
+    original = ChannelPlan.row
 
-    def failing(scene, codebook, ti, *args):
+    def failing(plan, ti):
         if ti == 1:
             raise RuntimeError("row 1 failed")
-        return original(scene, codebook, ti, *args)
+        return original(plan, ti)
 
-    monkeypatch.setattr(receiver, "channel_response", failing)
+    monkeypatch.setattr(ChannelPlan, "row", failing)
     with pytest.raises(RuntimeError, match="row 1 failed"):
         sweep(scene, codebook, wf_small, 0, n_range=64)
 
@@ -328,15 +328,15 @@ def test_direct_noise_matches_explicit_average(
         noise_power=noise_power, seed=n_symbols,
     )
     noiseless = np.stack([
-        channel_response(scene, codebook, ti, K, wf.scs_hz)
+        row_channel_response(scene, codebook, ti, K, wf.scs_hz)
         for ti in range(3)
     ])
     rows = []
     original = receiver.range_profile
 
-    def capture(h_bar, cfg):
+    def capture(h_bar, cfg, n_range):
         rows.append(h_bar.copy())
-        return original(h_bar, cfg)
+        return original(h_bar, cfg, n_range)
 
     # one worker: the tx rows reach range_profile in order
     monkeypatch.setattr(receiver, "_usable_cpus", lambda: 1)
