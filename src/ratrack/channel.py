@@ -172,12 +172,6 @@ class ChannelPlan:
         return h
 
 
-def channel_response(scene: SceneConfig, codebook: BeamCodebook, tx_idx: int,
-                     n_subcarriers: int, scs_hz: float) -> np.ndarray:
-    """One tx beam's channel to every rx beam: ChannelPlan(...).row."""
-    return ChannelPlan(scene, codebook, n_subcarriers, scs_hz).row(tx_idx)
-
-
 def advance(scene: SceneConfig, dt_s: float) -> SceneConfig:
     """Move every target by vel * dt_s; everything else unchanged."""
     if dt_s < 0:

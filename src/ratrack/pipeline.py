@@ -38,7 +38,7 @@ class SweepResult:
     sweep_index: int
     t_start_s: float
     clusters: tuple[Cluster, ...]
-    # Tracker.step snapshots: live tracks, then tracks that died this
+    # Tracker.step records: live tracks, then tracks that died this
     # sweep (emitted once with status DEAD)
     tracks: tuple[TrackState, ...]
     n_cells: int  # cells CFAR tested; 0 during the MTI warm-up
@@ -84,7 +84,7 @@ def run_tracking(
             n_cells, n_detections = filtered.power.size, len(hits)
             clusters, _noise = cluster_detections(hits, cfg.dbscan, filtered)
         t1 = time.perf_counter()
-        snapshots = tracker.step(
+        tracks = tracker.step(
             [
                 (c.centroid_range_m, np.radians(c.centroid_angle_deg))
                 for c in clusters
@@ -96,7 +96,7 @@ def run_tracking(
             sweep_index=tensor.sweep_index,
             t_start_s=tensor.t_start_s,
             clusters=tuple(clusters),
-            tracks=tuple(snapshots),
+            tracks=tuple(tracks),
             n_cells=n_cells,
             n_detections=n_detections,
             detect_s=t1 - t0,

@@ -9,11 +9,8 @@ linearizes it about the predicted state.
 from __future__ import annotations
 
 import enum
-import functools
-import itertools
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -57,25 +54,15 @@ class TrackerConfig:
             raise ConfigError("confirm_m must be <= confirm_n")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TrackState:
+    """One track as Tracker.step reports it for one sweep."""
+
     id: int
     x: np.ndarray                 # [x, y, vx, vy]
     P: np.ndarray                 # 4x4 covariance
-    status: TrackStatus = TrackStatus.TENTATIVE
-    hits: int = 0
-    misses: int = 0
-    age: int = 0
-    history: deque = field(default_factory=lambda: deque(maxlen=4))
-
-    def snapshot(self, x=None, P=None) -> "TrackState":
-        """A copy sharing no mutable state with self (x, P as given)."""
-        return TrackState(
-            id=self.id, x=self.x.copy() if x is None else x,
-            P=self.P.copy() if P is None else P, status=self.status,
-            hits=self.hits, misses=self.misses, age=self.age,
-            history=deque(self.history, maxlen=self.history.maxlen),
-        )
+    status: TrackStatus
+    age: int                      # sweeps since spawn, 1 in the spawn sweep
 
 
 def polar_to_cartesian(r: float, theta: float) -> tuple[float, float]:
@@ -85,10 +72,8 @@ def polar_to_cartesian(r: float, theta: float) -> tuple[float, float]:
     return r * np.sin(theta), r * np.cos(theta)
 
 
-@functools.lru_cache(maxsize=8)
 def transition_matrices(dt: float, q_accel: float) -> tuple[np.ndarray, np.ndarray]:
-    """Constant-velocity F and white-acceleration Q for step dt, cached
-    (one build per tracker step) and read-only."""
+    """Constant-velocity F and white-acceleration Q for step dt."""
     F = np.eye(4)
     F[0, 2] = dt
     F[1, 3] = dt
@@ -101,17 +86,20 @@ def transition_matrices(dt: float, q_accel: float) -> tuple[np.ndarray, np.ndarr
             [0.0, d2, 0.0, dt],
         ]
     )
-    F.flags.writeable = Q.flags.writeable = False
     return F, Q
 
 
-def ekf_predict(track: TrackState, dt_s: float, cfg: TrackerConfig) -> TrackState:
-    """Extrapolate one track forward by dt_s, as a new TrackState."""
+def ekf_predict(
+    x: np.ndarray, P: np.ndarray, dt_s: float, cfg: TrackerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extrapolate states x (..., 4) and covariances P (..., 4, 4) by
+    dt_s, as new arrays: one call predicts a whole track table."""
     if dt_s <= 0:
         raise ConfigError("dt_s must be > 0")
     F, Q = transition_matrices(dt_s, cfg.q_accel)
-    P = F @ track.P @ F.T + Q
-    return track.snapshot(x=F @ track.x, P=0.5 * (P + P.T))
+    P = F @ P @ F.T + Q
+    return (np.einsum("ij,...j->...i", F, x),
+            0.5 * (P + np.swapaxes(P, -1, -2)))
 
 
 def measurement_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,23 +129,22 @@ def wrap_angle(a: float) -> float:
 
 
 def ekf_update(
-    track: TrackState, z: tuple[float, float], cfg: TrackerConfig
-) -> TrackState:
-    """Joseph-form measurement update with z = (range_m, bearing_rad)."""
-    h, H = measurement_model(track.x)
+    x: np.ndarray, P: np.ndarray, z: tuple[float, float], cfg: TrackerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Joseph-form update of one state x (4,) and covariance P (4, 4)
+    with z = (range_m, bearing_rad), as new arrays."""
+    h, H = measurement_model(x)
     R = np.diag([cfg.r_range_var, cfg.r_angle_var])
     innovation = np.array([z[0] - h[0], wrap_angle(z[1] - h[1])])
-    S = H @ track.P @ H.T + R
+    S = H @ P @ H.T + R
     try:
         S_inv = np.linalg.inv(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"innovation covariance not invertible: {exc}")
-    K = track.P @ H.T @ S_inv
+    K = P @ H.T @ S_inv
     A = np.eye(4) - K @ H
-    P = A @ track.P @ A.T + K @ R @ K.T
-    out = track.snapshot(x=track.x + K @ innovation, P=0.5 * (P + P.T))
-    out.hits += 1
-    return out
+    P = A @ P @ A.T + K @ R @ K.T
+    return x + K @ innovation, 0.5 * (P + P.T)
 
 
 def hungarian(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
@@ -183,24 +170,23 @@ def gated_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
 
 
 def associate(
-    tracks: list[TrackState],
+    track_xy: np.ndarray,
     measurements: list[tuple[float, float]],
     cfg: TrackerConfig,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Gated global-nearest-neighbor association.
 
     Cost is the Euclidean distance between each predicted track
-    position and each measurement converted to Cartesian, gated at
-    gate_m.
+    position (the rows of track_xy, shape (n, 2)) and each measurement
+    converted to Cartesian, gated at gate_m.
 
     Returns (matched (track_idx, meas_idx) pairs, unmatched track
     indices, unmatched measurement indices).
     """
-    n, m = len(tracks), len(measurements)
+    n, m = len(track_xy), len(measurements)
     if n == 0 or m == 0:
         return [], list(range(n)), list(range(m))
     meas_xy = np.array([polar_to_cartesian(r, th) for r, th in measurements])
-    track_xy = np.array([t.x[:2] for t in tracks])
     dist = np.linalg.norm(track_xy[:, None, :] - meas_xy[None, :, :], axis=-1)
     matched = gated_pairs(dist, cfg.gate_m)
     used_t = {i for i, _ in matched}
@@ -212,22 +198,35 @@ def associate(
     )
 
 
+_STATUSES = (TrackStatus.TENTATIVE, TrackStatus.CONFIRMED, TrackStatus.DEAD)
+_COLUMNS = ("ids", "x", "P", "confirmed", "misses", "age", "window")
+
+
 class Tracker:
-    """Single-writer track table stepped once per sweep."""
+    """Single-writer track table stepped once per sweep.
+
+    One row per live track, held as arrays: ids, states x (n, 4),
+    covariances P (n, 4, 4), confirmed, misses, age and the M-of-N hit
+    window (n, w). The window's last column is each track's hit or miss
+    this sweep, the columns before it the sweeps before (False before
+    its spawn), and w <= min(confirm_n, sweeps stepped).
+    """
 
     def __init__(self, cfg: TrackerConfig | None = None):
         self.cfg = cfg or TrackerConfig()
-        self.tracks: list[TrackState] = []
-        self._ids = itertools.count()
+        self._next_id = 0
         self._last_t: float | None = None
+        for name, col in zip(_COLUMNS, self._new_rows(np.empty((0, 2)), 0)):
+            setattr(self, name, col)
 
     def step(
         self, measurements: list[tuple[float, float]], t_s: float
     ) -> list[TrackState]:
         """Advance one sweep with (range_m, bearing_rad) measurements.
 
-        Returns snapshots of all live tracks plus any track that died
-        this sweep (emitted once with status DEAD).
+        Returns one record per live track, in table order (tracks
+        spawned this sweep last), then one per track that died this
+        sweep (emitted once with status DEAD).
         """
         cfg = self.cfg
         if not math.isfinite(t_s):
@@ -238,54 +237,54 @@ class Tracker:
                     f"timestamps must be strictly increasing: "
                     f"{t_s} after {self._last_t}"
                 )
-            dt = t_s - self._last_t
-            self.tracks = [ekf_predict(t, dt, cfg) for t in self.tracks]
+            self.x, self.P = ekf_predict(
+                self.x, self.P, t_s - self._last_t, cfg)
         self._last_t = t_s
 
-        matched, un_tracks, un_meas = associate(self.tracks, measurements, cfg)
-
+        matched, _, un_meas = associate(self.x[:, :2], measurements, cfg)
+        hit = np.zeros(len(self.ids), dtype=bool)
         for ti, mi in matched:
-            updated = ekf_update(self.tracks[ti], measurements[mi], cfg)
-            updated.misses = 0
-            updated.history.append(True)
-            self.tracks[ti] = updated
-        for ti in un_tracks:
-            self.tracks[ti].misses += 1
-            self.tracks[ti].history.append(False)
-
-        for t in self.tracks:
-            t.age += 1
-            if (
-                t.status is TrackStatus.TENTATIVE
-                and sum(t.history) >= cfg.confirm_m
-            ):
-                t.status = TrackStatus.CONFIRMED
-
-        dead = [t for t in self.tracks if t.misses > cfg.max_misses]
-        self.tracks = [t for t in self.tracks if t.misses <= cfg.max_misses]
-        for t in dead:
-            t.status = TrackStatus.DEAD
+            self.x[ti], self.P[ti] = ekf_update(
+                self.x[ti], self.P[ti], measurements[mi], cfg)
+            hit[ti] = True
+        self.misses = np.where(hit, 0, self.misses + 1)
+        self.age += 1
+        w = self.window.shape[1]
+        self.window = np.column_stack(
+            (self.window[:, w - min(cfg.confirm_n - 1, w):], hit))
+        self.confirmed |= self.window.sum(axis=1) >= cfg.confirm_m
 
         # a measurement at range 0 has no bearing: it may update a
         # track but never starts one at the singular origin
-        for mi in un_meas:
-            if measurements[mi][0] != 0.0:
-                self.tracks.append(self._spawn(measurements[mi]))
+        xy = [polar_to_cartesian(*measurements[mi]) for mi in un_meas
+              if measurements[mi][0] != 0.0]
+        if xy:
+            new = self._new_rows(np.array(xy), self.window.shape[1])
+            for name, col in zip(_COLUMNS, new):
+                setattr(self, name, np.concatenate((getattr(self, name), col)))
 
-        out = [t.snapshot() for t in self.tracks]
-        out.extend(t.snapshot() for t in dead)
+        dead = self.misses > cfg.max_misses
+        rows = np.argsort(dead, kind="stable")  # live rows, then dead
+        codes = np.where(dead, 2, self.confirmed)[rows].tolist()
+        out = [
+            TrackState(i, x, P, _STATUSES[c], a) for i, x, P, c, a in zip(
+                self.ids[rows].tolist(), self.x[rows], self.P[rows], codes,
+                self.age[rows].tolist())
+        ]
+        for name in _COLUMNS:
+            setattr(self, name, getattr(self, name)[~dead])
         return out
 
-    def _spawn(self, z: tuple[float, float]) -> TrackState:
-        cfg = self.cfg
-        px, py = polar_to_cartesian(*z)
-        track = TrackState(
-            id=next(self._ids),
-            x=np.array([px, py, 0.0, 0.0]),
-            P=np.diag([cfg.p0_pos_var, cfg.p0_pos_var,
-                       cfg.p0_vel_var, cfg.p0_vel_var]),
-            hits=1,
-            age=1,
-            history=deque([True], maxlen=cfg.confirm_n),
-        )
-        return track
+    def _new_rows(self, xy: np.ndarray, w: int) -> tuple[np.ndarray, ...]:
+        """The _COLUMNS of one tentative track per spawn position xy
+        (k, 2), hit in the last of w window columns."""
+        cfg, k = self.cfg, len(xy)
+        window = np.zeros((k, w), dtype=bool)
+        window[:, -1:] = True
+        p0 = np.diag([cfg.p0_pos_var] * 2 + [cfg.p0_vel_var] * 2)
+        self._next_id += k
+        return (np.arange(self._next_id - k, self._next_id),
+                np.column_stack((xy, np.zeros((k, 2)))),
+                np.tile(p0, (k, 1, 1)), np.zeros(k, dtype=bool),
+                np.zeros(k, dtype=np.int64), np.ones(k, dtype=np.int64),
+                window)

@@ -6,7 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ratrack import ConfigError, FrameError, WaveformConfig
+from ratrack import (
+    ConfigError,
+    FrameError,
+    TrackerConfig,
+    TrackStatus,
+    WaveformConfig,
+    measurement_model,
+    polar_to_cartesian,
+)
+from ratrack.tracker import gated_pairs, transition_matrices, wrap_angle
 from ratrack.waveform import C_LIGHT
 
 
@@ -317,3 +326,114 @@ def demodulate(frame: IqFrame, cfg: WaveformConfig) -> ResourceGrid:
     body = frame.samples.reshape(cfg.n_symbols, sym_len)[:, cfg.cp_len :].T
     spectrum = np.fft.fft(body, axis=0, norm="ortho")
     return ResourceGrid(data=spectrum[_subcarrier_map(cfg), :], config=cfg)
+
+
+# -- per-track tracker reference -------------------------------------------
+#
+# The tracker as it was before the track table: one object per track,
+# predicted and updated one at a time, each step copying every track.
+# ratrack.tracker.Tracker must report the same ids, statuses and ages,
+# and the same x and P bytes, sweep for sweep.
+
+
+@dataclass
+class ObjectTrack:
+    id: int
+    x: np.ndarray                 # [x, y, vx, vy]
+    P: np.ndarray                 # 4x4 covariance
+    status: TrackStatus = TrackStatus.TENTATIVE
+    misses: int = 0
+    age: int = 0
+    history: deque = field(default_factory=deque)
+
+    def snapshot(self, x=None, P=None) -> "ObjectTrack":
+        """A copy sharing no mutable state with self (x, P as given)."""
+        return ObjectTrack(
+            id=self.id, x=self.x.copy() if x is None else x,
+            P=self.P.copy() if P is None else P, status=self.status,
+            misses=self.misses, age=self.age,
+            history=deque(self.history, maxlen=self.history.maxlen),
+        )
+
+
+def object_predict(track, dt_s, cfg):
+    F, Q = transition_matrices(dt_s, cfg.q_accel)
+    P = F @ track.P @ F.T + Q
+    return track.snapshot(x=F @ track.x, P=0.5 * (P + P.T))
+
+
+def object_update(track, z, cfg):
+    h, H = measurement_model(track.x)
+    R = np.diag([cfg.r_range_var, cfg.r_angle_var])
+    innovation = np.array([z[0] - h[0], wrap_angle(z[1] - h[1])])
+    S = H @ track.P @ H.T + R
+    K = track.P @ H.T @ np.linalg.inv(S)
+    A = np.eye(4) - K @ H
+    P = A @ track.P @ A.T + K @ R @ K.T
+    return track.snapshot(x=track.x + K @ innovation, P=0.5 * (P + P.T))
+
+
+class ObjectTracker:
+    """Tracker.step over a list of ObjectTrack, one object per track."""
+
+    def __init__(self, cfg: TrackerConfig | None = None):
+        self.cfg = cfg or TrackerConfig()
+        self.tracks: list[ObjectTrack] = []
+        self._ids = itertools.count()
+        self._last_t = None
+
+    def step(self, measurements, t_s):
+        cfg = self.cfg
+        if self._last_t is not None:
+            dt = t_s - self._last_t
+            self.tracks = [object_predict(t, dt, cfg) for t in self.tracks]
+        self._last_t = t_s
+
+        n, m = len(self.tracks), len(measurements)
+        matched = []
+        if n and m:
+            meas_xy = np.array([polar_to_cartesian(*z) for z in measurements])
+            track_xy = np.array([t.x[:2] for t in self.tracks])
+            dist = np.linalg.norm(
+                track_xy[:, None, :] - meas_xy[None, :, :], axis=-1)
+            matched = gated_pairs(dist, cfg.gate_m)
+        used_t = {i for i, _ in matched}
+        used_m = {j for _, j in matched}
+
+        for ti, mi in matched:
+            updated = object_update(self.tracks[ti], measurements[mi], cfg)
+            updated.misses = 0
+            updated.history.append(True)
+            self.tracks[ti] = updated
+        for ti in set(range(n)) - used_t:
+            self.tracks[ti].misses += 1
+            self.tracks[ti].history.append(False)
+
+        for t in self.tracks:
+            t.age += 1
+            if (
+                t.status is TrackStatus.TENTATIVE
+                and sum(t.history) >= cfg.confirm_m
+            ):
+                t.status = TrackStatus.CONFIRMED
+
+        dead = [t for t in self.tracks if t.misses > cfg.max_misses]
+        self.tracks = [t for t in self.tracks if t.misses <= cfg.max_misses]
+        for t in dead:
+            t.status = TrackStatus.DEAD
+
+        for mi in range(m):
+            if mi not in used_m and measurements[mi][0] != 0.0:
+                px, py = polar_to_cartesian(*measurements[mi])
+                self.tracks.append(ObjectTrack(
+                    id=next(self._ids),
+                    x=np.array([px, py, 0.0, 0.0]),
+                    P=np.diag([cfg.p0_pos_var, cfg.p0_pos_var,
+                               cfg.p0_vel_var, cfg.p0_vel_var]),
+                    age=1,
+                    history=deque([True], maxlen=cfg.confirm_n),
+                ))
+
+        out = [t.snapshot() for t in self.tracks]
+        out.extend(t.snapshot() for t in dead)
+        return out

@@ -9,7 +9,7 @@ from ratrack import (
     advance,
     array_factor,
 )
-from ratrack.channel import ChannelPlan, channel_response
+from ratrack.channel import ChannelPlan
 from ratrack.waveform import C_LIGHT
 
 from conftest import single_target_scene
@@ -114,24 +114,22 @@ def test_plan_rows_match_per_row_oracle(
     for ti in range(len(codebook.tx_angles_deg)):
         expected = row_channel_response(scene, codebook, ti, K, scs)
         assert plan.row(ti).tobytes() == expected.tobytes(), ti
-        assert channel_response(scene, codebook, ti, K, scs).tobytes() \
-            == expected.tobytes(), ti
 
 
 def test_empty_scene_zero(wf_small, small_codebook):
-    h = channel_response(
-        SceneConfig(), small_codebook, 2, 144, wf_small.scs_hz
-    )
+    h = ChannelPlan(
+        SceneConfig(), small_codebook, 144, wf_small.scs_hz
+    ).row(2)
     assert h.shape == (5, 144)
     assert np.all(h == 0)
 
 
 def test_single_path_magnitude_and_phase(wf_small, boresight_codebook):
     r = 50.0
-    h = channel_response(
-        single_target_scene(r), boresight_codebook, 0,
+    h = ChannelPlan(
+        single_target_scene(r), boresight_codebook,
         wf_small.active_subcarriers, wf_small.scs_hz,
-    )[0]
+    ).row(0)[0]
     assert np.allclose(np.abs(h), 1.0)
     # linear phase slope -2 pi scs 2r/c per subcarrier
     tau = 2 * r / C_LIGHT
@@ -146,7 +144,7 @@ def test_superposition(wf_small, small_codebook):
     both = SceneConfig(targets=a.targets + b.targets, leakage_amplitude=2.0)
 
     def h(scene, tx_idx):
-        return channel_response(scene, small_codebook, tx_idx, 144, 120e3)
+        return ChannelPlan(scene, small_codebook, 144, 120e3).row(tx_idx)
 
     for tx_idx in range(5):
         assert np.allclose(h(both, tx_idx), h(a, tx_idx) + h(b, tx_idx))
@@ -155,7 +153,7 @@ def test_superposition(wf_small, small_codebook):
 def test_channel_response_index_out_of_range(boresight_codebook):
     for tx_idx in (-1, 1):
         with pytest.raises(ConfigError):
-            channel_response(SceneConfig(), boresight_codebook, tx_idx, 8, 1.0)
+            ChannelPlan(SceneConfig(), boresight_codebook, 8, 1.0).row(tx_idx)
 
 
 def test_channel_response_rows_are_rx_beams(wf_small):
@@ -165,7 +163,7 @@ def test_channel_response_rows_are_rx_beams(wf_small):
     )
     r = 25.0
     scene = single_target_scene(r, bearing_deg=4.0)
-    h = channel_response(scene, codebook, 1, 144, wf_small.scs_hz)
+    h = ChannelPlan(scene, codebook, 144, wf_small.scs_hz).row(1)
     k = np.arange(144)
     ramp = np.exp(-1j * 2 * np.pi * k * wf_small.scs_hz * 2 * r / C_LIGHT)
     for row, rx_deg in zip(h, codebook.rx_angles_deg):
@@ -176,8 +174,8 @@ def test_channel_response_rows_are_rx_beams(wf_small):
 def test_quasi_static_within_sweep(wf_small, small_codebook):
     # a moving target's delay is identical for every beam pair of a sweep
     scene = single_target_scene(25.0, vel=(0.0, 3.0))
-    h1 = channel_response(scene, small_codebook, 0, 144, wf_small.scs_hz)[1]
-    h2 = channel_response(scene, small_codebook, 3, 144, wf_small.scs_hz)[4]
+    plan = ChannelPlan(scene, small_codebook, 144, wf_small.scs_hz)
+    h1, h2 = plan.row(0)[1], plan.row(3)[4]
     # same phase ramp (delay), different complex gain
     slope1 = np.angle(h1[1] / h1[0])
     slope2 = np.angle(h2[1] / h2[0])

@@ -923,7 +923,8 @@ CONFIG_SECTIONS = st.fixed_dictionaries({}, optional={
     }),
     "dbscan": st.fixed_dictionaries({}, optional={
         "eps": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
-        "min_pts": st.one_of(st.integers(-1, 2**70), NOT_A_NUMBER),
+        "min_pts": st.one_of(st.integers(-1, 3), st.integers(-1, 2**70),
+                             NOT_A_NUMBER),
         "range_scale": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
         "tx_scale": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
         "rx_scale": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
@@ -938,15 +939,22 @@ CONFIG_SECTIONS = st.fixed_dictionaries({}, optional={
         ),
         "score_radius_m": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
     }),
+    "tracker": st.fixed_dictionaries({}, optional={
+        **{name: st.one_of(ANY_FLOAT, NOT_A_NUMBER) for name in (
+            "q_accel", "r_range_var", "r_angle_var", "gate_m", "p0_pos_var",
+            "p0_vel_var",
+        )},
+        **{name: st.one_of(st.integers(-1, 6), st.integers(-1, 2**70),
+                           NOT_A_NUMBER)
+           for name in ("confirm_m", "confirm_n", "max_misses")},
+    }),
 })
 
 
-@settings(max_examples=60, deadline=None)
-@given(doc=CONFIG_SECTIONS)
-def test_cli_track_random_config_exit_code(doc):
-    # cfar, dbscan and run sections drawn at random, extreme and
-    # wrongly typed values included: track either rejects the config
-    # (exit 2) or writes only finite values (exit 0)
+def assert_track_exit_code(doc):
+    """track on MOVER either rejects the config (exit 2) or writes only
+    finite values (exit 0); returns the exit code and tracks.csv's
+    line count, header included."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "in.ratn").write_bytes(MOVER)
@@ -958,9 +966,33 @@ def test_cli_track_random_config_exit_code(doc):
                 "--config", write_config(tmp, doc), "--out", str(tmp / "out"),
             ])
         assert rc in (0, 2), err.getvalue()
-        if rc == 0:
-            for name in ("detections.csv", "tracks.csv"):
-                assert csv_values_finite(tmp / "out" / name), name
+        if rc == 2:
+            return rc, 0
+        for name in ("detections.csv", "tracks.csv"):
+            assert csv_values_finite(tmp / "out" / name), name
+        return rc, len((tmp / "out" / "tracks.csv").read_text().splitlines())
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=CONFIG_SECTIONS)
+def test_cli_track_random_config_exit_code(doc):
+    # cfar, dbscan, run and tracker sections drawn at random, extreme
+    # and wrongly typed values included
+    assert_track_exit_code(doc)
+
+
+@pytest.mark.parametrize("confirm_n", [10**6, 2**70])
+@pytest.mark.parametrize("confirm_m,max_misses", [(1, 5), (3, 2**70)])
+def test_cli_track_large_confirm_n(confirm_n, confirm_m, max_misses):
+    # the M-of-N hit window is bounded by the sweeps stepped, not by
+    # confirm_n; min_pts 1 makes MOVER's noise hits clusters, so tracks
+    # spawn, confirm and coast
+    rc, n_rows = assert_track_exit_code({
+        "dbscan": {"min_pts": 1},
+        "tracker": {"confirm_m": confirm_m, "confirm_n": confirm_n,
+                    "max_misses": max_misses},
+    })
+    assert rc == 0 and n_rows > 10
 
 
 @pytest.mark.parametrize("command", ["simulate", "e2e"])

@@ -16,7 +16,7 @@ def truth(key, x, y, vx=0.0, vy=0.0):
 def track(tid, x, y, vx=0.0, vy=0.0, status=TrackStatus.CONFIRMED):
     return TrackState(
         id=tid, x=np.array([x, y, vx, vy], dtype=float), P=np.eye(4),
-        status=status,
+        status=status, age=1,
     )
 
 

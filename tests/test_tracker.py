@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ratrack.pipeline
 from ratrack import (
     ConfigError,
     SingularGeometryError,
     StreamError,
     Tracker,
     TrackerConfig,
-    TrackState,
     TrackStatus,
     associate,
     ekf_predict,
@@ -18,13 +20,21 @@ from ratrack import (
     measurement_model,
     polar_to_cartesian,
 )
-from ratrack.tracker import gated_pairs, transition_matrices, wrap_angle
+from ratrack.config import from_dict
+from ratrack.pipeline import run_tracking
+from ratrack.receiver import RaTensor
+from ratrack.tracker import gated_pairs, wrap_angle
 
-from oracles import brute_force_assignment, finite_difference_jacobian
+from oracles import (
+    ObjectTracker,
+    brute_force_assignment,
+    finite_difference_jacobian,
+)
 
 
-def make_track(x, p=1.0, tid=0):
-    return TrackState(id=tid, x=np.asarray(x, dtype=float), P=p * np.eye(4))
+def make_track(x, p=1.0):
+    """(x, P) of one track at state x with covariance p * I."""
+    return np.asarray(x, dtype=float), p * np.eye(4)
 
 
 # ------------------------------------------------- coordinate mapping
@@ -53,52 +63,58 @@ def test_polar_to_cartesian_radius_identity(r, th):
 
 
 def test_predict_constant_velocity():
-    t = make_track([0.0, 0.0, 1.0, 1.0])
-    out = ekf_predict(t, 0.2, TrackerConfig())
-    assert out.x == pytest.approx([0.2, 0.2, 1.0, 1.0])
+    x, _ = ekf_predict(*make_track([0.0, 0.0, 1.0, 1.0]), 0.2,
+                       TrackerConfig())
+    assert x == pytest.approx([0.2, 0.2, 1.0, 1.0])
 
 
 def test_predict_zero_process_noise_exact():
     cfg = TrackerConfig(q_accel=1e-300)
-    t = make_track([1.0, 2.0, 0.5, -0.5], p=2.0)
-    out = ekf_predict(t, 0.3, cfg)
+    x, P = make_track([1.0, 2.0, 0.5, -0.5], p=2.0)
+    _, out_P = ekf_predict(x, P, 0.3, cfg)
     F = np.eye(4)
     F[0, 2] = F[1, 3] = 0.3
-    assert np.allclose(out.P, F @ t.P @ F.T, atol=1e-12)
+    assert np.allclose(out_P, F @ P @ F.T, atol=1e-12)
 
 
 def test_predict_halves_compose():
     cfg = TrackerConfig(q_accel=1e-300)
-    t = make_track([1.0, 2.0, 0.5, -0.5])
-    one = ekf_predict(t, 0.4, cfg)
-    two = ekf_predict(ekf_predict(t, 0.2, cfg), 0.2, cfg)
-    assert np.allclose(one.x, two.x)
+    x, P = make_track([1.0, 2.0, 0.5, -0.5])
+    one, _ = ekf_predict(x, P, 0.4, cfg)
+    two, _ = ekf_predict(*ekf_predict(x, P, 0.2, cfg), 0.2, cfg)
+    assert np.allclose(one, two)
 
 
 def test_predict_covariance_symmetric():
-    t = make_track([3.0, 4.0, 0.0, 0.0], p=5.0)
-    out = ekf_predict(t, 0.2, TrackerConfig())
-    assert np.array_equal(out.P, out.P.T)
-    assert np.min(np.linalg.eigvalsh(out.P)) >= -1e-9
+    _, P = ekf_predict(*make_track([3.0, 4.0, 0.0, 0.0], p=5.0), 0.2,
+                       TrackerConfig())
+    assert np.array_equal(P, P.T)
+    assert np.min(np.linalg.eigvalsh(P)) >= -1e-9
 
 
 def test_predict_shares_no_state_with_input():
-    t = make_track([3.0, 4.0, 1.0, 0.0])
-    t.history.append(True)
-    out = ekf_predict(t, 0.2, TrackerConfig())
-    out.history.append(False)
-    assert not np.shares_memory(out.x, t.x)
-    assert not np.shares_memory(out.P, t.P)
-    assert list(t.history) == [True]
+    x, P = make_track([3.0, 4.0, 1.0, 0.0])
+    x0, P0 = x.copy(), P.copy()
+    out_x, out_P = ekf_predict(x, P, 0.2, TrackerConfig())
+    assert not np.shares_memory(out_x, x)
+    assert not np.shares_memory(out_P, P)
+    assert np.array_equal(x, x0) and np.array_equal(P, P0)
 
 
-def test_transition_matrices_cached_read_only():
-    F, Q = transition_matrices(0.2, 1.0)
-    assert transition_matrices(0.2, 1.0)[0] is F
-    with pytest.raises(ValueError):
-        F[0, 2] = 1.0
-    with pytest.raises(ValueError):
-        Q[0, 0] = 1.0
+def test_predict_table_equals_rows_bytes():
+    # one call over an (n, 4) / (n, 4, 4) table gives each row the bytes
+    # of predicting that row alone
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-30.0, 30.0, (50, 4))
+    A = rng.normal(size=(50, 4, 4))
+    P = A @ np.swapaxes(A, 1, 2) + np.eye(4)
+    cfg = TrackerConfig(q_accel=0.7)
+    tx, tP = ekf_predict(x, P, 0.2, cfg)
+    assert tx.shape == (50, 4) and tP.shape == (50, 4, 4)
+    for i in range(50):
+        rx, rP = ekf_predict(x[i], P[i], 0.2, cfg)
+        assert tx[i].tobytes() == rx.tobytes()
+        assert tP[i].tobytes() == rP.tobytes()
 
 
 # -------------------------------------------------- measurement model
@@ -138,11 +154,11 @@ def test_measurement_jacobian_matches_finite_differences():
 
 def test_update_zero_innovation_keeps_state_shrinks_cov():
     cfg = TrackerConfig()
-    t = make_track([3.0, 10.0, 0.5, 0.5], p=4.0)
-    h, _ = measurement_model(t.x)
-    out = ekf_update(t, (h[0], h[1]), cfg)
-    assert np.allclose(out.x, t.x, atol=1e-12)
-    assert np.trace(out.P) < np.trace(t.P)
+    x, P = make_track([3.0, 10.0, 0.5, 0.5], p=4.0)
+    h, _ = measurement_model(x)
+    out_x, out_P = ekf_update(x, P, (h[0], h[1]), cfg)
+    assert np.allclose(out_x, x, atol=1e-12)
+    assert np.trace(out_P) < np.trace(P)
 
 
 def test_update_noise_free_velocity_convergence():
@@ -157,36 +173,37 @@ def test_update_noise_free_velocity_convergence():
         if track is None:
             track = make_track([p[0], p[1], 0.0, 0.0], p=25.0)
             continue
-        track = ekf_predict(track, 0.2, cfg)
-        track = ekf_update(track, (r, th), cfg)
-    assert np.hypot(track.x[2] - 1.0, track.x[3] - 0.5) < 0.05
+        track = ekf_predict(*track, 0.2, cfg)
+        track = ekf_update(*track, (r, th), cfg)
+    x, _ = track
+    assert np.hypot(x[2] - 1.0, x[3] - 0.5) < 0.05
 
 
 def test_update_uninformative_measurement():
     cfg = TrackerConfig(r_range_var=1e12, r_angle_var=1e12)
-    t = make_track([3.0, 10.0, 0.5, 0.5], p=1.0)
-    out = ekf_update(t, (50.0, 1.0), cfg)
-    assert np.allclose(out.x, t.x, rtol=1e-3, atol=1e-3)
-    assert np.allclose(out.P, t.P, rtol=1e-3, atol=1e-3)
+    x, P = make_track([3.0, 10.0, 0.5, 0.5], p=1.0)
+    out_x, out_P = ekf_update(x, P, (50.0, 1.0), cfg)
+    assert np.allclose(out_x, x, rtol=1e-3, atol=1e-3)
+    assert np.allclose(out_P, P, rtol=1e-3, atol=1e-3)
 
 
 def test_update_joseph_symmetry():
     cfg = TrackerConfig()
-    t = make_track([3.0, 10.0, 0.0, 0.0], p=9.0)
-    out = ekf_update(t, (11.0, 0.4), cfg)
-    assert np.array_equal(out.P, out.P.T)
-    assert np.min(np.linalg.eigvalsh(out.P)) >= -1e-9
+    _, P = ekf_update(*make_track([3.0, 10.0, 0.0, 0.0], p=9.0),
+                      (11.0, 0.4), cfg)
+    assert np.array_equal(P, P.T)
+    assert np.min(np.linalg.eigvalsh(P)) >= -1e-9
 
 
 def test_update_angle_wrap_near_pi():
     # target almost behind: theta near pi; measurement just past -pi
     cfg = TrackerConfig()
-    t = make_track([0.1, -10.0, 0.0, 0.0], p=1.0)
-    h, _ = measurement_model(t.x)
+    x, P = make_track([0.1, -10.0, 0.0, 0.0], p=1.0)
+    h, _ = measurement_model(x)
     z_theta = wrap_angle(h[1] + 0.2)
-    out = ekf_update(t, (h[0], z_theta), cfg)
+    out_x, _ = ekf_update(x, P, (h[0], z_theta), cfg)
     # wrapped innovation must be small, so the state moves only a little
-    assert np.linalg.norm(out.x[:2] - t.x[:2]) < 5.0
+    assert np.linalg.norm(out_x[:2] - x[:2]) < 5.0
 
 
 def test_wrap_angle_range():
@@ -243,14 +260,19 @@ def test_gated_pairs_prefers_more_pairs_in_gate():
 
 
 def test_associate_no_tracks():
-    matched, ut, um = associate([], [(5.0, 0.0)] * 3, TrackerConfig())
+    matched, ut, um = associate(np.empty((0, 2)), [(5.0, 0.0)] * 3,
+                                TrackerConfig())
     assert matched == [] and ut == [] and um == [0, 1, 2]
+
+
+def test_associate_no_measurements():
+    matched, ut, um = associate(np.ones((2, 2)), [], TrackerConfig())
+    assert matched == [] and ut == [0, 1] and um == []
 
 
 def test_associate_nearest():
     cfg = TrackerConfig(gate_m=2.0)
-    tracks = [make_track([0.0, 5.0, 0, 0], tid=0),
-              make_track([0.0, 10.0, 0, 0], tid=1)]
+    tracks = np.array([[0.0, 5.0], [0.0, 10.0]])
     z1 = (np.hypot(0.1, 5.0), np.arctan2(0.1, 5.0))
     z2 = (np.hypot(-0.1, 10.0), np.arctan2(-0.1, 10.0))
     matched, ut, um = associate(tracks, [z1, z2], cfg)
@@ -260,7 +282,7 @@ def test_associate_nearest():
 
 def test_associate_all_gated_out():
     cfg = TrackerConfig(gate_m=2.0)
-    tracks = [make_track([0.0, 5.0, 0, 0]), make_track([0.0, 10.0, 0, 0])]
+    tracks = np.array([[0.0, 5.0], [0.0, 10.0]])
     far = [(50.0, 1.0), (60.0, -1.0)]
     matched, ut, um = associate(tracks, far, cfg)
     assert matched == []
@@ -271,10 +293,7 @@ def test_associate_partial_matching_property():
     rng = np.random.default_rng(3)
     cfg = TrackerConfig(gate_m=3.0)
     for _ in range(20):
-        tracks = [
-            make_track([x, y, 0, 0], tid=i)
-            for i, (x, y) in enumerate(rng.uniform(1, 30, size=(4, 2)))
-        ]
+        tracks = rng.uniform(1, 30, size=(4, 2))
         meas = [
             (float(r), float(th))
             for r, th in zip(rng.uniform(1, 40, 5), rng.uniform(-1, 1, 5))
@@ -319,9 +338,9 @@ def test_track_coasts_and_dies():
     cfg = TrackerConfig(max_misses=5)
     tr = Tracker(cfg)
     for k in range(5):
-        tr.step([meas_at(0.5, 10.0 + 0.2 * k)], 0.2 * k)
-    assert tr.tracks[0].status is TrackStatus.CONFIRMED
-    vy = tr.tracks[0].x[3]
+        out = tr.step([meas_at(0.5, 10.0 + 0.2 * k)], 0.2 * k)
+    assert out[0].status is TrackStatus.CONFIRMED
+    vy = out[0].x[3]
     assert vy > 0.5  # roughly 1 m/s down-range
     # target disappears; track must coast for max_misses sweeps and die
     # on the (max_misses + 1)-th missed sweep
@@ -362,7 +381,6 @@ def test_zero_range_measurement_updates_nearby_track():
     first = tr.step([meas_at(0.3, 0.5)], 0.0)[0]
     out = tr.step([(0.0, 0.0)], 0.2)
     assert [t.id for t in out] == [first.id]
-    assert out[0].hits == 2
     assert np.hypot(*out[0].x[:2]) < np.hypot(*first.x[:2])
 
 
@@ -455,3 +473,91 @@ def test_config_integer_lower_bounds_accepted():
     out = tr.step([(10.0, 0.0)], 0.2)
     assert out[0].status is TrackStatus.CONFIRMED
     assert tr.step([], 0.4)[0].status is TrackStatus.DEAD
+
+
+# ------------------------------------------------------ track table
+
+
+def test_step_records_are_frozen_and_kept():
+    # a record is read-only, and later steps leave it as it was
+    tr = Tracker(TrackerConfig())
+    first = tr.step([meas_at(1.0, 8.0)], 0.0)[0]
+    x, P = first.x.copy(), first.P.copy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.age = 5
+    for k in range(1, 4):
+        tr.step([meas_at(1.0, 8.0 + 0.1 * k)], 0.2 * k)
+    assert first.age == 1 and first.status is TrackStatus.TENTATIVE
+    assert np.array_equal(first.x, x) and np.array_equal(first.P, P)
+
+
+@pytest.mark.parametrize("confirm_n,width", [(1, 1), (4, 4), (10**6, 7),
+                                             (2**70, 7)])
+def test_hit_window_bounded(confirm_n, width):
+    # the M-of-N window holds min(confirm_n, sweeps stepped) columns
+    tr = Tracker(TrackerConfig(confirm_m=1, confirm_n=confirm_n))
+    for k in range(7):
+        out = tr.step([meas_at(1.0, 8.0)], 0.2 * k)
+    assert tr.window.shape == (1, width)
+    assert out[0].status is TrackStatus.CONFIRMED
+
+
+def assert_same_records(got, want):
+    assert [(t.id, t.status, t.age) for t in got] == \
+        [(t.id, t.status, t.age) for t in want]
+    for a, b in zip(got, want):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.P.tobytes() == b.P.tobytes()
+
+
+def clutter_tensors(n_sweeps=20, seed=21):
+    # pure exponential noise: at the default pfa 1e-3 the realized pfa
+    # after MTI is ~1e-2, so each sweep spawns, matches and kills tracks
+    rng = np.random.default_rng(seed)
+    angles = tuple(np.arange(-25.0, 26.0, 5.0))
+    for k in range(n_sweeps):
+        yield RaTensor(
+            power=rng.exponential(1.0, (128, 11, 11)).astype(np.float32),
+            tx_angles_deg=angles, rx_angles_deg=angles, sweep_index=k,
+            t_start_s=0.2 * k, bin_size_m=0.3049,
+        )
+
+
+EDGE_TRACKERS = [
+    {}, {"confirm_m": 1, "confirm_n": 1}, {"max_misses": 0},
+    {"confirm_m": 2, "confirm_n": 6, "gate_m": 4.0},
+]
+
+
+@pytest.mark.parametrize("tracker_doc", EDGE_TRACKERS)
+def test_tracker_matches_object_oracle_on_clutter(monkeypatch, tracker_doc):
+    # the track table steps through run_tracking exactly as the
+    # per-track tracker does: same records, same x and P bytes
+    cfg = from_dict({"tracker": tracker_doc})
+    got = [r.tracks for r in run_tracking(clutter_tensors(), cfg)]
+    monkeypatch.setattr(ratrack.pipeline, "Tracker", ObjectTracker)
+    want = [r.tracks for r in run_tracking(clutter_tensors(), cfg)]
+    assert sum(map(len, want)) > 100
+    assert any(t.status is TrackStatus.CONFIRMED for ts in want for t in ts)
+    assert any(t.status is TrackStatus.DEAD for ts in want for t in ts)
+    for a, b in zip(got, want, strict=True):
+        assert_same_records(a, b)
+
+
+@pytest.mark.parametrize("tracker_doc", EDGE_TRACKERS)
+def test_tracker_matches_object_oracle_on_stream(tracker_doc):
+    # two movers, one near the origin, with clutter, dropouts and
+    # range-0 measurements, stepped directly
+    cfg = from_dict({"tracker": tracker_doc}).tracker
+    rng = np.random.default_rng(5)
+    table, oracle = Tracker(cfg), ObjectTracker(cfg)
+    for k in range(40):
+        t = 0.2 * k
+        meas = [meas_at(0.4 + 0.1 * t, 0.6 - 0.05 * t),
+                meas_at(-3.0 + 0.3 * t, 12.0 + 0.5 * t)]
+        meas = [z for z in meas if rng.random() < 0.8]
+        meas += [(0.0, float(th)) for th in rng.uniform(-1, 1, k % 3)]
+        meas += [(float(r), float(th)) for r, th in zip(
+            rng.uniform(1, 30, 4), rng.uniform(-1, 1, 4))]
+        meas = [meas[i] for i in rng.permutation(len(meas))]
+        assert_same_records(table.step(meas, t), oracle.step(meas, t))

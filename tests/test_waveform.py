@@ -10,7 +10,7 @@ from ratrack import (
     TargetTruth,
     WaveformConfig,
 )
-from ratrack.channel import channel_response
+from ratrack.channel import ChannelPlan
 from ratrack.waveform import C_LIGHT
 
 from oracles import (
@@ -158,9 +158,9 @@ def test_cyclic_delay_phase_ramp(wf_small, boresight_codebook):
     )
     range_m = d * C_LIGHT / (2 * cfg.sample_rate_hz)
     scene = SceneConfig(targets=(TargetTruth(pos=(0.0, range_m)),))
-    h = channel_response(
-        scene, boresight_codebook, 0, cfg.active_subcarriers, cfg.scs_hz
-    )[0]
+    h = ChannelPlan(
+        scene, boresight_codebook, cfg.active_subcarriers, cfg.scs_hz
+    ).row(0)[0]
     K = cfg.active_subcarriers
     h = h * np.exp(1j * 2 * np.pi * (K // 2) * d / cfg.fft_size)
     assert np.max(np.abs(back.data - grid.data * h[:, None])) < 1e-9
