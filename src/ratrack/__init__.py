@@ -10,7 +10,6 @@ from .channel import (
 )
 from .detector import (
     CfarConfig,
-    Cluster,
     DbscanConfig,
     MtiFilter,
     ca_cfar,

@@ -1,7 +1,9 @@
 """Command-line surface: simulate, track, e2e, report.
 
-Exit codes: 0 success, 2 configuration error, 3 tensor-file format
-error.  Set RATRACK_LOG=debug|info|warning to control verbosity.
+Exit codes: 0 success, 1 I/O error (a missing or unreadable input, an
+output path that cannot be written), 2 configuration error, 3
+tensor-file format error.  Set RATRACK_LOG=debug|info|warning to
+control verbosity.
 """
 
 from __future__ import annotations
@@ -41,22 +43,18 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tensor_path = out / "tensors.ratn"
     truth_path = out / "truth.csv"
-    try:
-        with open(tensor_path, "wb") as fh, \
-                _open_csv(truth_path, pipeline.TRUTH_HEADER) as truth_fh:
-            writer = None
-            for tensor, truth in pipeline.simulate_sweeps(cfg):
-                if writer is None:
-                    writer = tensorfile.TensorWriter(
-                        fh, tensor.n_range, tensor.tx_angles_deg,
-                        tensor.rx_angles_deg, tensor.bin_size_m,
-                    )
-                writer.write(tensor)
-                truth_fh.write(pipeline.truth_rows(tensor.sweep_index, truth))
-                log.info("simulated sweep %d", tensor.sweep_index)
-    except OSError as exc:
-        print(f"I/O error writing {out}: {exc}", file=sys.stderr)
-        return 1
+    with open(tensor_path, "wb") as fh, \
+            _open_csv(truth_path, pipeline.TRUTH_HEADER) as truth_fh:
+        writer = None
+        for tensor, truth in pipeline.simulate_sweeps(cfg):
+            if writer is None:
+                writer = tensorfile.TensorWriter(
+                    fh, tensor.n_range, tensor.tx_angles_deg,
+                    tensor.rx_angles_deg, tensor.bin_size_m,
+                )
+            writer.write(tensor)
+            truth_fh.write(pipeline.truth_rows(tensor.sweep_index, truth))
+            log.info("simulated sweep %d", tensor.sweep_index)
     print(f"wrote {tensor_path} and {truth_path}")
     return 0
 
@@ -115,12 +113,7 @@ def cmd_e2e(args) -> int:
 
 
 def cmd_report(args) -> int:
-    path = Path(args.indir) / "report.txt"
-    try:
-        print(path.read_text(), end="")
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        return 1
+    print((Path(args.indir) / "report.txt").read_text(), end="")
     return 0
 
 
@@ -168,6 +161,9 @@ def main(argv=None) -> int:
         return 3
     except RatrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 1
 
 

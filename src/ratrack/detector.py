@@ -39,15 +39,6 @@ class CfarConfig:
                               f"{self.n_train}: CFAR threshold overflows")
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """Power-weighted centroid measurement of one DBSCAN cluster."""
-
-    centroid_range_m: float
-    centroid_angle_deg: float
-    total_power: float
-
-
 class MtiFilter:
     """Slow-time FIR clutter canceller over the sweep stream.
 
@@ -212,12 +203,14 @@ def dbscan(
 
 def cluster_detections(
     idx: np.ndarray, cfg: DbscanConfig, tensor: RaTensor
-) -> tuple[list[Cluster], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run DBSCAN over the CFAR hits idx and form each cluster's
-    power-weighted centroid; returns (clusters, noise rows of idx).
+    power-weighted centroid; returns (centroids, noise rows of idx).
 
-    The bearing of one hit is the mean of its tx and rx steering
-    angles (colocated arrays see the same true bearing).
+    centroids is a float64 (k, 3) array with one (range_m, angle_deg,
+    total_power) row per cluster, in DBSCAN's cluster order.  The
+    bearing of one hit is the mean of its tx and rx steering angles
+    (colocated arrays see the same true bearing).
     """
     members, noise = dbscan(idx, cfg)
     r, t, x = idx.T
@@ -226,13 +219,9 @@ def cluster_detections(
     angles = 0.5 * (
         np.asarray(tensor.tx_angles_deg)[t] + np.asarray(tensor.rx_angles_deg)[x]
     )
-    clusters = []
-    for m in members:
+    centroids = np.empty((len(members), 3))
+    for row, m in zip(centroids, members):
         p = powers[m]
-        total = float(p.sum())
-        clusters.append(Cluster(
-            centroid_range_m=float(np.dot(p, ranges[m]) / total),
-            centroid_angle_deg=float(np.dot(p, angles[m]) / total),
-            total_power=total,
-        ))
-    return clusters, noise
+        total = p.sum()
+        row[:] = np.dot(p, ranges[m]) / total, np.dot(p, angles[m]) / total, total
+    return centroids, noise

@@ -125,16 +125,12 @@ class Scorer:
         truths = self.truth_log.get(k)
         if not truths:
             return
+        c = result.clusters
+        x, y = polar_to_cartesian(c[:, 0], np.radians(c[:, 1]))
         for g in truths:
-            if g.target_key in self.first_detections:
-                continue
-            for c in result.clusters:
-                x, y = polar_to_cartesian(
-                    c.centroid_range_m, np.radians(c.centroid_angle_deg)
-                )
-                if np.hypot(x - g.x, y - g.y) <= self.radius_m:
-                    self.first_detections[g.target_key] = k
-                    break
+            if (g.target_key not in self.first_detections
+                    and (np.hypot(x - g.x, y - g.y) <= self.radius_m).any()):
+                self.first_detections[g.target_key] = k
         for t, g, _ in match_to_truth(result.tracks, truths, self.radius_m):
             tx, ty, tvx, tvy = (float(v) for v in t.x)
             e2 = (tx - g.x) ** 2 + (ty - g.y) ** 2

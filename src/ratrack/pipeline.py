@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import advance
 from .config import PipelineConfig
-from .detector import Cluster, MtiFilter, ca_cfar, cluster_detections
+from .detector import MtiFilter, ca_cfar, cluster_detections
 from .errors import ConfigError
 from .metrics import RunReport, Scorer, TruthEntry, TruthLog
 from .receiver import RaTensor, sweep, sweep_pool
@@ -37,7 +37,9 @@ class SweepResult:
 
     sweep_index: int
     t_start_s: float
-    clusters: tuple[Cluster, ...]
+    # float64 (k, 3): one (range_m, angle_deg, total_power) row per
+    # DBSCAN cluster, in cluster_id order
+    clusters: np.ndarray
     # Tracker.step records: live tracks, then tracks that died this
     # sweep (emitted once with status DEAD)
     tracks: tuple[TrackState, ...]
@@ -78,24 +80,21 @@ def run_tracking(
         t0 = time.perf_counter()
         filtered, warm_up = mti.apply(tensor)
         if warm_up:
-            clusters, n_cells, n_detections = [], 0, 0
+            clusters, n_cells, n_detections = np.empty((0, 3)), 0, 0
         else:
             hits = ca_cfar(filtered, cfg.cfar)
             n_cells, n_detections = filtered.power.size, len(hits)
             clusters, _noise = cluster_detections(hits, cfg.dbscan, filtered)
         t1 = time.perf_counter()
         tracks = tracker.step(
-            [
-                (c.centroid_range_m, np.radians(c.centroid_angle_deg))
-                for c in clusters
-            ],
+            np.column_stack((clusters[:, 0], np.radians(clusters[:, 1]))),
             tensor.t_start_s,
         )
         t2 = time.perf_counter()
         yield SweepResult(
             sweep_index=tensor.sweep_index,
             t_start_s=tensor.t_start_s,
-            clusters=tuple(clusters),
+            clusters=clusters,
             tracks=tuple(tracks),
             n_cells=n_cells,
             n_detections=n_detections,
@@ -111,16 +110,15 @@ def build_report(scorer: Scorer) -> RunReport:
 
 # -- CSV rows: each serializer returns newline-terminated lines ----------
 
+_DETECTION_FLOATS_FMT = ",".join([FLOAT_FMT] * 3)
 _TRACK_FLOATS_FMT = ",".join([FLOAT_FMT] * 6)
 
 
 def detection_rows(result: SweepResult) -> str:
     k = result.sweep_index
     return "".join(
-        f"{k},{FLOAT_FMT % c.centroid_range_m},"
-        f"{FLOAT_FMT % c.centroid_angle_deg},"
-        f"{FLOAT_FMT % c.total_power},{cid}\n"
-        for cid, c in enumerate(result.clusters)
+        f"{k},{_DETECTION_FLOATS_FMT % tuple(row)},{cid}\n"
+        for cid, row in enumerate(result.clusters.tolist())
     )
 
 

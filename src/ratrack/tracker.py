@@ -65,9 +65,10 @@ class TrackState:
     age: int                      # sweeps since spawn, 1 in the spawn sweep
 
 
-def polar_to_cartesian(r: float, theta: float) -> tuple[float, float]:
-    """(range, bearing from +y toward +x, radians) -> (x, y)."""
-    if r < 0:
+def polar_to_cartesian(r, theta):
+    """(range, bearing from +y toward +x, radians) -> (x, y), for
+    scalars or broadcasting arrays alike."""
+    if np.any(np.less(r, 0)):
         raise ConfigError("range must be >= 0")
     return r * np.sin(theta), r * np.cos(theta)
 
@@ -170,32 +171,24 @@ def gated_pairs(dist: np.ndarray, gate: float) -> list[tuple[int, int]]:
 
 
 def associate(
-    track_xy: np.ndarray,
-    measurements: list[tuple[float, float]],
-    cfg: TrackerConfig,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    track_xy: np.ndarray, meas_xy: np.ndarray, cfg: TrackerConfig
+) -> tuple[list[tuple[int, int]], list[int]]:
     """Gated global-nearest-neighbor association.
 
     Cost is the Euclidean distance between each predicted track
-    position (the rows of track_xy, shape (n, 2)) and each measurement
-    converted to Cartesian, gated at gate_m.
+    position (the rows of track_xy, shape (n, 2)) and each Cartesian
+    measurement (the rows of meas_xy, shape (m, 2)), gated at gate_m.
 
-    Returns (matched (track_idx, meas_idx) pairs, unmatched track
-    indices, unmatched measurement indices).
+    Returns (matched (track_idx, meas_idx) pairs, unmatched measurement
+    indices).
     """
-    n, m = len(track_xy), len(measurements)
-    if n == 0 or m == 0:
-        return [], list(range(n)), list(range(m))
-    meas_xy = np.array([polar_to_cartesian(r, th) for r, th in measurements])
-    dist = np.linalg.norm(track_xy[:, None, :] - meas_xy[None, :, :], axis=-1)
-    matched = gated_pairs(dist, cfg.gate_m)
-    used_t = {i for i, _ in matched}
+    matched = []
+    if len(track_xy) and len(meas_xy):
+        dist = np.linalg.norm(
+            track_xy[:, None, :] - meas_xy[None, :, :], axis=-1)
+        matched = gated_pairs(dist, cfg.gate_m)
     used_m = {j for _, j in matched}
-    return (
-        matched,
-        [i for i in range(n) if i not in used_t],
-        [j for j in range(m) if j not in used_m],
-    )
+    return matched, [j for j in range(len(meas_xy)) if j not in used_m]
 
 
 _STATUSES = (TrackStatus.TENTATIVE, TrackStatus.CONFIRMED, TrackStatus.DEAD)
@@ -219,16 +212,21 @@ class Tracker:
         for name, col in zip(_COLUMNS, self._new_rows(np.empty((0, 2)), 0)):
             setattr(self, name, col)
 
-    def step(
-        self, measurements: list[tuple[float, float]], t_s: float
-    ) -> list[TrackState]:
-        """Advance one sweep with (range_m, bearing_rad) measurements.
+    def step(self, measurements, t_s: float) -> list[TrackState]:
+        """Advance one sweep with an (m, 2) array of (range_m,
+        bearing_rad) measurement rows; a list of pairs also works.
 
         Returns one record per live track, in table order (tracks
         spawned this sweep last), then one per track that died this
         sweep (emitted once with status DEAD).
         """
         cfg = self.cfg
+        z = np.asarray(measurements, dtype=float)
+        if z.shape == (0,):  # an empty list
+            z = np.empty((0, 2))
+        if z.ndim != 2 or z.shape[1] != 2:
+            raise StreamError(
+                f"measurements must be an (m, 2) array, got shape {z.shape}")
         if not math.isfinite(t_s):
             raise StreamError(f"timestamp must be finite, got {t_s}")
         if self._last_t is not None:
@@ -241,11 +239,12 @@ class Tracker:
                 self.x, self.P, t_s - self._last_t, cfg)
         self._last_t = t_s
 
-        matched, _, un_meas = associate(self.x[:, :2], measurements, cfg)
+        meas_xy = np.column_stack(polar_to_cartesian(z[:, 0], z[:, 1]))
+        matched, un_meas = associate(self.x[:, :2], meas_xy, cfg)
         hit = np.zeros(len(self.ids), dtype=bool)
         for ti, mi in matched:
             self.x[ti], self.P[ti] = ekf_update(
-                self.x[ti], self.P[ti], measurements[mi], cfg)
+                self.x[ti], self.P[ti], z[mi], cfg)
             hit[ti] = True
         self.misses = np.where(hit, 0, self.misses + 1)
         self.age += 1
@@ -256,10 +255,9 @@ class Tracker:
 
         # a measurement at range 0 has no bearing: it may update a
         # track but never starts one at the singular origin
-        xy = [polar_to_cartesian(*measurements[mi]) for mi in un_meas
-              if measurements[mi][0] != 0.0]
-        if xy:
-            new = self._new_rows(np.array(xy), self.window.shape[1])
+        spawn = [mi for mi in un_meas if z[mi, 0] != 0.0]
+        if spawn:
+            new = self._new_rows(meas_xy[spawn], self.window.shape[1])
             for name, col in zip(_COLUMNS, new):
                 setattr(self, name, np.concatenate((getattr(self, name), col)))
 

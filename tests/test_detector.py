@@ -449,7 +449,8 @@ def test_dbscan_config_rejects_values_that_overflow_distances(field):
 
 
 def measure(shape, hits, eps=3.0, scale=1.0):
-    """The clusters cluster_detections forms from hits, each a
+    """The (range_m, angle_deg, total_power) centroid rows
+    cluster_detections forms from hits, each a
     (range_idx, tx_idx, rx_idx, power) tuple written into a zero
     tensor of the given shape; every hit is a core point."""
     p = np.zeros(shape)
@@ -466,28 +467,26 @@ def measure(shape, hits, eps=3.0, scale=1.0):
 
 def test_cluster_single_member_measurement():
     (c,), t = measure((200, 1, 1), [(164, 0, 0, 2.0)])
-    assert c.centroid_range_m == pytest.approx(164 * 0.3049)
-    assert c.centroid_angle_deg == pytest.approx(-10.0)  # single angle entry
-    assert c.total_power == pytest.approx(2.0)
+    # -10 deg: the single angle entry
+    assert c == pytest.approx([164 * 0.3049, -10.0, 2.0])
 
 
 def test_cluster_symmetric_angles_cancel():
     # tx angles are (-10, 0, 10); equal powers at +/-10 average to 0
     (c,), _ = measure((32, 3, 3), [(5, 0, 0, 1.0), (5, 2, 2, 1.0)], eps=10.0)
-    assert c.centroid_angle_deg == pytest.approx(0.0)
+    assert c[1] == pytest.approx(0.0)
 
 
 def test_cluster_power_scale_invariance():
     hits = [(4, 0, 1, 1.0), (8, 1, 2, 3.0)]
     (m1,), _ = measure((32, 3, 3), hits, eps=10.0)
     (m2,), _ = measure((32, 3, 3), hits, eps=10.0, scale=2.0)
-    assert m1.centroid_range_m == pytest.approx(m2.centroid_range_m)
-    assert m1.centroid_angle_deg == pytest.approx(m2.centroid_angle_deg)
+    assert m1[:2] == pytest.approx(m2[:2])
 
 
 def test_cluster_centroid_in_hull():
     (c,), t = measure((64, 3, 3), [(10, 0, 0, 1.0), (20, 2, 2, 5.0)], eps=20.0)
-    assert 10 * t.bin_size_m <= c.centroid_range_m <= 20 * t.bin_size_m
+    assert 10 * t.bin_size_m <= c[0] <= 20 * t.bin_size_m
 
 
 def test_cluster_detections_end_to_end():
@@ -496,7 +495,7 @@ def test_cluster_detections_end_to_end():
     p[tuple(idx.T)] = 1.0
     t, = tensor_stream([p])
     clusters, noise = cluster_detections(idx, DbscanConfig(), t)
-    assert len(clusters) == 1
+    assert clusters.shape == (1, 3) and clusters.dtype == np.float64
     assert noise.tolist() == [3]
 
 
@@ -525,17 +524,14 @@ def clutter_sweep(seed, shape=(128, 21, 21)):
 @pytest.mark.parametrize("pfa", [1e-3, 1e-6])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cluster_detections_identical_to_object_path(seed, pfa, min_pts):
-    # centroids from index columns equal, bit for bit and in order, the
-    # object path's: one Detection per hit and one make_cluster per
+    # centroid rows from index columns equal, bit for bit and in order,
+    # the object path's: one Detection per hit and one make_cluster per
     # group.  min_pts 1 makes every isolated hit a one-member cluster.
     t = clutter_sweep(seed)
     cfar, db = CfarConfig(pfa=pfa), DbscanConfig(min_pts=min_pts)
     clusters, _ = cluster_detections(ca_cfar(t, cfar), db, t)
-    got = [
-        (c.centroid_range_m, c.centroid_angle_deg, c.total_power)
-        for c in clusters
-    ]
-    assert got == object_clusters(t, cfar, db)
+    assert clusters.dtype == np.float64 and clusters.shape[1:] == (3,)
+    assert list(map(tuple, clusters.tolist())) == object_clusters(t, cfar, db)
     sizes = [len(m) for m in dbscan(ca_cfar(t, cfar), db)[0]]
     assert max(sizes) > 1
     if min_pts == 1:
@@ -547,5 +543,5 @@ def test_cluster_detections_empty_hit_set():
     clusters, noise = cluster_detections(
         ca_cfar(t, CfarConfig()), DbscanConfig(), t
     )
-    assert clusters == [] and len(noise) == 0
+    assert clusters.shape == (0, 3) and len(noise) == 0
     assert object_clusters(t, CfarConfig(), DbscanConfig()) == []

@@ -664,6 +664,26 @@ def test_cli_format_error_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv, target", [
+    ("track --tensors {path} --config {cfg} --out {out}", "missing.ratn"),
+    ("track --tensors {path} --config {cfg} --out {out}", "a_directory"),
+    ("simulate --config {cfg} --out {path}", "a_file"),
+    ("e2e --config {cfg} --out {path}", "a_file"),
+    ("report --in {path}", "missing_dir"),
+])
+def test_cli_io_error_exit_code(tmp_path, capsys, argv, target):
+    # a missing or unreadable input or an unwritable output ends with
+    # exit code 1 and a message naming the path, not a traceback
+    (tmp_path / "a_directory").mkdir()
+    (tmp_path / "a_file").write_text("")
+    path = str(tmp_path / target)
+    cfg = write_config(tmp_path, SMALL_CONFIG)
+    argv = argv.format(path=path, cfg=cfg, out=tmp_path / "out").split()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and path in err
+
+
 # SHA-256 of the CSVs `track` writes for 8 sweeps of unit exponential
 # noise on a 128 x 11 x 11 grid at the default pfa 1e-3, recorded with
 # the dense-matrix breadth-first DBSCAN.  They pin cluster membership,

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ratrack import Scorer, TrackState, TrackStatus
-from ratrack.detector import Cluster
 from ratrack.metrics import TruthEntry, match_to_truth
 from ratrack.pipeline import SweepResult
 
@@ -21,16 +20,14 @@ def track(tid, x, y, vx=0.0, vy=0.0, status=TrackStatus.CONFIRMED):
 
 
 def cluster_at(x, y):
-    return Cluster(
-        centroid_range_m=float(np.hypot(x, y)),
-        centroid_angle_deg=float(np.degrees(np.arctan2(x, y))),
-        total_power=1.0,
-    )
+    """One (range_m, angle_deg, total_power) centroid row at (x, y)."""
+    return (np.hypot(x, y), np.degrees(np.arctan2(x, y)), 1.0)
 
 
 def result(k, tracks=(), clusters=()):
     return SweepResult(
-        sweep_index=k, t_start_s=0.2 * k, clusters=tuple(clusters),
+        sweep_index=k, t_start_s=0.2 * k,
+        clusters=np.array(clusters, dtype=float).reshape(len(clusters), 3),
         tracks=tuple(tracks), n_cells=0, n_detections=0,
         detect_s=0.0, track_s=0.0,
     )

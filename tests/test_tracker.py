@@ -59,6 +59,16 @@ def test_polar_to_cartesian_radius_identity(r, th):
     assert x * x + y * y == pytest.approx(r * r, abs=1e-6)
 
 
+def test_polar_to_cartesian_broadcasts_like_scalars():
+    # the tracker converts a sweep's measurements as one array: the
+    # same bytes as one scalar call per measurement
+    r, th = np.array([0.0, 3.0, 12.5]), np.array([0.3, -1.2, 2.0])
+    want = [polar_to_cartesian(float(a), float(b)) for a, b in zip(r, th)]
+    assert np.array_equal(np.column_stack(polar_to_cartesian(r, th)), want)
+    with pytest.raises(ConfigError):
+        polar_to_cartesian(np.array([1.0, -1.0]), np.zeros(2))
+
+
 # --------------------------------------------------------- prediction
 
 
@@ -260,33 +270,33 @@ def test_gated_pairs_prefers_more_pairs_in_gate():
 
 
 def test_associate_no_tracks():
-    matched, ut, um = associate(np.empty((0, 2)), [(5.0, 0.0)] * 3,
-                                TrackerConfig())
-    assert matched == [] and ut == [] and um == [0, 1, 2]
+    matched, um = associate(np.empty((0, 2)), np.ones((3, 2)),
+                            TrackerConfig())
+    assert matched == [] and um == [0, 1, 2]
 
 
 def test_associate_no_measurements():
-    matched, ut, um = associate(np.ones((2, 2)), [], TrackerConfig())
-    assert matched == [] and ut == [0, 1] and um == []
+    matched, um = associate(np.ones((2, 2)), np.empty((0, 2)),
+                            TrackerConfig())
+    assert matched == [] and um == []
 
 
 def test_associate_nearest():
     cfg = TrackerConfig(gate_m=2.0)
     tracks = np.array([[0.0, 5.0], [0.0, 10.0]])
-    z1 = (np.hypot(0.1, 5.0), np.arctan2(0.1, 5.0))
-    z2 = (np.hypot(-0.1, 10.0), np.arctan2(-0.1, 10.0))
-    matched, ut, um = associate(tracks, [z1, z2], cfg)
+    meas = np.array([[0.1, 5.0], [-0.1, 10.0]])
+    matched, um = associate(tracks, meas, cfg)
     assert sorted(matched) == [(0, 0), (1, 1)]
-    assert ut == [] and um == []
+    assert um == []
 
 
 def test_associate_all_gated_out():
     cfg = TrackerConfig(gate_m=2.0)
     tracks = np.array([[0.0, 5.0], [0.0, 10.0]])
-    far = [(50.0, 1.0), (60.0, -1.0)]
-    matched, ut, um = associate(tracks, far, cfg)
-    assert matched == []
-    assert ut == [0, 1] and um == [0, 1]
+    far = np.column_stack(polar_to_cartesian(np.array([50.0, 60.0]),
+                                             np.array([1.0, -1.0])))
+    matched, um = associate(tracks, far, cfg)
+    assert matched == [] and um == [0, 1]
 
 
 def test_associate_partial_matching_property():
@@ -294,17 +304,16 @@ def test_associate_partial_matching_property():
     cfg = TrackerConfig(gate_m=3.0)
     for _ in range(20):
         tracks = rng.uniform(1, 30, size=(4, 2))
-        meas = [
-            (float(r), float(th))
-            for r, th in zip(rng.uniform(1, 40, 5), rng.uniform(-1, 1, 5))
-        ]
-        matched, ut, um = associate(tracks, meas, cfg)
+        meas = np.column_stack(polar_to_cartesian(
+            rng.uniform(1, 40, 5), rng.uniform(-1, 1, 5)))
+        matched, um = associate(tracks, meas, cfg)
         t_used = [i for i, _ in matched]
         m_used = [j for _, j in matched]
         assert len(set(t_used)) == len(t_used)
         assert len(set(m_used)) == len(m_used)
-        assert sorted(t_used + ut) == list(range(4))
         assert sorted(m_used + um) == list(range(5))
+        assert all(np.hypot(*(tracks[i] - meas[j])) <= cfg.gate_m
+                   for i, j in matched)
 
 
 # ---------------------------------------------------------- lifecycle
@@ -382,6 +391,20 @@ def test_zero_range_measurement_updates_nearby_track():
     out = tr.step([(0.0, 0.0)], 0.2)
     assert [t.id for t in out] == [first.id]
     assert np.hypot(*out[0].x[:2]) < np.hypot(*first.x[:2])
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros(4), np.zeros((2, 3)), np.zeros((3, 1)), np.zeros((1, 2, 1)),
+    np.zeros((0, 3)), [(10.0, 0.1, 2.0)],
+])
+def test_measurements_not_m_by_2_rejected(bad):
+    tr = Tracker(TrackerConfig())
+    tr.step([(10.0, 0.0)], 0.0)
+    with pytest.raises(StreamError, match=r"\(m, 2\)"):
+        tr.step(bad, 0.2)
+    # the table is untouched: the next well-formed step still tracks
+    out = tr.step(np.array([(10.0, 0.0)]), 0.2)
+    assert [t.age for t in out] == [2]
 
 
 def test_non_monotone_time_rejected():
