@@ -14,9 +14,7 @@ import yaml
 
 from .channel import BeamCodebook, SceneConfig, TargetTruth, default_codebook
 from .detector import CfarConfig, DbscanConfig
-from .errors import (
-    ConfigError, finite_floats, require_fits, require_int, require_real,
-)
+from .errors import ConfigError, require_fits, require_int, require_real
 from .receiver import DEFAULT_N_RANGE
 from .tensorfile import _MAX_ABS_T_S, _MAX_RANGE_M
 from .tracker import TrackerConfig
@@ -27,15 +25,12 @@ from .waveform import WaveformConfig
 class RunConfig:
     n_sweeps: int = 50
     n_range: int = DEFAULT_N_RANGE
-    mti_taps: tuple[float, ...] = (1.0, -1.0)
     score_radius_m: float = 2.0
 
     def __post_init__(self):
         require_int("n_sweeps", self.n_sweeps, 1)
         require_int("n_range", self.n_range, 1)
         require_real("score_radius_m", self.score_radius_m)
-        taps = finite_floats("mti_taps", self.mti_taps)
-        object.__setattr__(self, "mti_taps", taps)
 
 
 @dataclass(frozen=True)
@@ -135,13 +130,12 @@ def from_dict(doc: dict) -> PipelineConfig:
 
 
 def load(path: str | Path) -> PipelineConfig:
-    try:
-        with open(path) as fh:
+    """Read and build a YAML config; an unreadable file raises OSError."""
+    with open(path) as fh:
+        try:
             doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}")
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"config {path} is not valid YAML: {exc}")
     if doc is not None and not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a mapping")
     return from_dict(doc or {})

@@ -9,7 +9,6 @@ angle axes are clustered afterwards by DBSCAN.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,52 +39,32 @@ class CfarConfig:
 
 
 class MtiFilter:
-    """Slow-time FIR clutter canceller over the sweep stream.
+    """Two-pulse clutter canceller over the sweep stream.
 
-    Taps must sum to zero so static returns cancel exactly.  Until the
-    history fills, the output is all-zero and flagged warm-up.
+    Each cell's output is (|x_k| - |x_{k-1}|)^2, so static returns
+    cancel exactly.  The first sweep has no predecessor: its output is
+    all-zero and flagged warm-up.
     """
 
-    def __init__(self, taps=(1.0, -1.0)):
-        taps = tuple(float(t) for t in taps)
-        if len(taps) < 2:
-            raise ConfigError("MTI needs at least 2 taps")
-        if abs(sum(taps)) > 1e-12:
-            raise ConfigError(f"MTI taps must sum to 0, got {sum(taps)}")
-        self.taps = taps
-        self._history: deque[np.ndarray] = deque(maxlen=len(taps) - 1)
-        self._shape: tuple[int, ...] | None = None
-
-    @property
-    def settled(self) -> bool:
-        return len(self._history) == len(self.taps) - 1
+    def __init__(self):
+        self._last: np.ndarray | None = None
 
     def apply(self, tensor: RaTensor) -> tuple[RaTensor, bool]:
         """Filter one sweep; returns (filtered tensor, warm_up flag)."""
-        if self._shape is None:
-            self._shape = tensor.power.shape
-        elif tensor.power.shape != self._shape:
+        last = self._last
+        if last is not None and tensor.power.shape != last.shape:
             raise StreamError(
                 f"tensor shape changed mid-stream: {tensor.power.shape} "
-                f"vs {self._shape}"
+                f"vs {last.shape}"
             )
-        amplitude = np.sqrt(tensor.power)
-        if not self.settled:
-            self._history.append(amplitude)
-            out = np.zeros_like(tensor.power)
-            return replace(tensor, power=out), True
-
-        # taps too large for float32 leave inf or NaN here without a
-        # numpy warning; ca_cfar rejects such a sweep with a ConfigError
-        with np.errstate(over="ignore", invalid="ignore"):
-            filtered = self.taps[0] * amplitude
-            # history[-1] is the previous sweep: tap i pairs with sweep k-i
-            for i, tap in enumerate(self.taps[1:], start=1):
-                filtered = filtered + tap * self._history[-i]
-            filtered *= filtered
-        self._history.append(amplitude)
-        out = filtered.astype(tensor.power.dtype, copy=False)
-        return replace(tensor, power=out), False
+        self._last = np.sqrt(tensor.power)
+        if last is None:
+            return replace(tensor, power=np.zeros_like(tensor.power)), True
+        # amplitudes of finite float32 powers are <= sqrt(float32 max),
+        # so their squared difference stays finite
+        d = self._last - last
+        d *= d
+        return replace(tensor, power=d), False
 
 
 def ca_cfar(tensor: RaTensor, cfg: CfarConfig) -> np.ndarray:
@@ -108,13 +87,6 @@ def ca_cfar(tensor: RaTensor, cfg: CfarConfig) -> np.ndarray:
     cs = np.empty((n + 1 + 2 * w,) + power.shape[1:])
     cs[: w + 1] = 0.0
     np.cumsum(power, axis=0, dtype=np.float64, out=cs[w + 1 : w + 1 + n])
-    # cs[w + n] holds each beam pair's total: one inf or NaN cell would
-    # turn the rest of its thresholds into NaN and drop its hits
-    if not np.isfinite(cs[w + n]).all():
-        raise ConfigError(
-            f"sweep {tensor.sweep_index}: MTI output is not finite; "
-            "run.mti_taps are too large for the float32 power tensor"
-        )
     cs[w + 1 + n :] = cs[w + n]
     i = np.arange(n)
     counts = (np.clip(i - g, 0, n) - np.clip(i - w, 0, n)) + (

@@ -74,7 +74,7 @@ def run_tracking(
 
     Yields each sweep's result as soon as that sweep is tracked.
     """
-    mti = MtiFilter(cfg.run.mti_taps)
+    mti = MtiFilter()
     tracker = Tracker(cfg.tracker)
     for tensor in tensors:
         t0 = time.perf_counter()
@@ -146,14 +146,11 @@ def read_truth(path: str | Path) -> TruthLog:
     """Parse a truth CSV as written by simulate or e2e.
 
     A row with the wrong field count, a non-numeric value or a
-    non-finite coordinate is a ConfigError naming the file and line.
+    non-finite coordinate is a ConfigError naming the file and line; an
+    unreadable file raises OSError.
     """
     log: TruthLog = {}
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read truth file {path}: {exc}")
-    with fh:
+    with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line == TRUTH_HEADER:

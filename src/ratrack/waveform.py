@@ -20,25 +20,22 @@ class WaveformConfig:
 
     Defaults match a 400 MHz FR2 carrier: 275 resource blocks at
     120 kHz subcarrier spacing (3300 active subcarriers, 396 MHz
-    occupied).  cp_len and seed describe the transmitted CP-OFDM frame
-    (cyclic prefix length, QPSK payload seed); the simulator reads
-    neither.
+    occupied).  seed is the QPSK payload seed of the transmitted frame;
+    only the test suite's reference grid reads it, and it leaves once
+    the benchmark stops writing it (ROADMAP item 7).
     """
 
     n_rb: int = 275
     scs_hz: float = 120e3
     n_symbols: int = 14
     fft_size: int = 4096
-    cp_len: int = 288
-    carrier_hz: float = 28e9
     seed: int = 0
 
     def __post_init__(self):
         for name, low in (("n_rb", 1), ("n_symbols", 1), ("fft_size", 1),
-                          ("cp_len", 0), ("seed", 0)):
+                          ("seed", 0)):
             require_int(name, getattr(self, name), low)
         require_real("scs_hz", self.scs_hz)
-        require_real("carrier_hz", self.carrier_hz)
         if self.active_subcarriers > self.fft_size:
             raise ConfigError(
                 f"12*n_rb = {self.active_subcarriers} exceeds fft_size {self.fft_size}"
@@ -47,14 +44,6 @@ class WaveformConfig:
     @property
     def active_subcarriers(self) -> int:
         return 12 * self.n_rb
-
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.active_subcarriers * self.scs_hz
-
-    @property
-    def sample_rate_hz(self) -> float:
-        return self.scs_hz * self.fft_size
 
     @property
     def range_bin_m(self) -> float:

@@ -8,7 +8,7 @@ from ratrack import BeamCodebook, SceneConfig, TargetTruth, WaveformConfig
 def wf_small():
     """Fast numerology for unit tests: 144 subcarriers, fft 256."""
     return WaveformConfig(
-        n_rb=12, scs_hz=120e3, n_symbols=4, fft_size=256, cp_len=16, seed=5
+        n_rb=12, scs_hz=120e3, n_symbols=4, fft_size=256, seed=5
     )
 
 

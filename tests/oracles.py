@@ -2,13 +2,14 @@
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ratrack import (
     ConfigError,
     FrameError,
+    StreamError,
     TrackerConfig,
     TrackStatus,
     WaveformConfig,
@@ -302,30 +303,82 @@ def _subcarrier_map(cfg: WaveformConfig) -> np.ndarray:
     return np.mod(k, cfg.fft_size)
 
 
-def modulate(grid: ResourceGrid) -> IqFrame:
-    """CP-OFDM modulation: per-symbol unitary IDFT plus cyclic prefix."""
+def modulate(grid: ResourceGrid, cp_len: int) -> IqFrame:
+    """CP-OFDM modulation: per-symbol unitary IDFT plus a cyclic prefix
+    of cp_len samples, at scs_hz * fft_size samples per second."""
     cfg = grid.config
     spectrum = np.zeros((cfg.fft_size, cfg.n_symbols), dtype=np.complex128)
     spectrum[_subcarrier_map(cfg), :] = grid.data
     body = np.fft.ifft(spectrum, axis=0, norm="ortho")
-    if cfg.cp_len > 0:
-        body = np.concatenate([body[-cfg.cp_len :, :], body], axis=0)
+    if cp_len > 0:
+        body = np.concatenate([body[-cp_len:, :], body], axis=0)
     return IqFrame(
-        samples=body.T.reshape(-1), sample_rate_hz=cfg.sample_rate_hz
+        samples=body.T.reshape(-1), sample_rate_hz=cfg.scs_hz * cfg.fft_size
     )
 
 
-def demodulate(frame: IqFrame, cfg: WaveformConfig) -> ResourceGrid:
+def demodulate(
+    frame: IqFrame, cfg: WaveformConfig, cp_len: int
+) -> ResourceGrid:
     """Inverse of :func:`modulate`: strip CP, unitary DFT, extract actives."""
-    sym_len = cfg.fft_size + cfg.cp_len
+    sym_len = cfg.fft_size + cp_len
     expected = cfg.n_symbols * sym_len
     if frame.samples.shape != (expected,):
         raise FrameError(
             f"frame length {frame.samples.shape}, expected ({expected},)"
         )
-    body = frame.samples.reshape(cfg.n_symbols, sym_len)[:, cfg.cp_len :].T
+    body = frame.samples.reshape(cfg.n_symbols, sym_len)[:, cp_len:].T
     spectrum = np.fft.fft(body, axis=0, norm="ortho")
     return ResourceGrid(data=spectrum[_subcarrier_map(cfg), :], config=cfg)
+
+
+# -- N-tap MTI reference ---------------------------------------------------
+#
+# The MTI filter as it was before the fixed two-pulse canceller: a
+# slow-time FIR over the last len(taps) amplitude frames.  With taps
+# (1, -1), ratrack.MtiFilter must give the same bytes and warm-up flags.
+
+
+class FirMti:
+    """Slow-time FIR clutter canceller over the sweep stream.
+
+    Taps must sum to zero so static returns cancel exactly.  Until the
+    history fills, the output is all-zero and flagged warm-up.
+    """
+
+    def __init__(self, taps):
+        taps = tuple(float(t) for t in taps)
+        if len(taps) < 2:
+            raise ConfigError("MTI needs at least 2 taps")
+        if abs(sum(taps)) > 1e-12:
+            raise ConfigError(f"MTI taps must sum to 0, got {sum(taps)}")
+        self.taps = taps
+        self._history = deque(maxlen=len(taps) - 1)
+        self._shape = None
+
+    def apply(self, tensor):
+        """Filter one sweep; returns (filtered tensor, warm_up flag)."""
+        if self._shape is None:
+            self._shape = tensor.power.shape
+        elif tensor.power.shape != self._shape:
+            raise StreamError(
+                f"tensor shape changed mid-stream: {tensor.power.shape} "
+                f"vs {self._shape}"
+            )
+        amplitude = np.sqrt(tensor.power)
+        if len(self._history) < len(self.taps) - 1:
+            self._history.append(amplitude)
+            out = np.zeros_like(tensor.power)
+            return replace(tensor, power=out), True
+
+        filtered = self.taps[0] * amplitude
+        # history[-1] is the previous sweep: tap i pairs with sweep k-i
+        for i, tap in enumerate(self.taps[1:], start=1):
+            filtered = filtered + tap * self._history[-i]
+        filtered *= filtered
+        self._history.append(amplitude)
+        out = filtered.astype(tensor.power.dtype, copy=False)
+        return replace(tensor, power=out), False
 
 
 # -- per-track tracker reference -------------------------------------------

@@ -43,7 +43,7 @@ def small_tensor(k, shape=(16, 2, 3)):
 
 
 SMALL_CONFIG = {
-    "waveform": {"n_rb": 12, "fft_size": 256, "cp_len": 16, "n_symbols": 2},
+    "waveform": {"n_rb": 12, "fft_size": 256, "n_symbols": 2},
     "codebook": {"span_deg": 10.0, "step_deg": 5.0},
     "scene": {
         "targets": [{"pos": [0.0, 10.0], "vel": [0.0, 1.6]}],
@@ -107,7 +107,8 @@ def test_load_yaml(tmp_path):
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(ConfigError):
+    # an unreadable config is an I/O error (cli exit 1), not a config error
+    with pytest.raises(FileNotFoundError):
         load(tmp_path / "nope.yaml")
 
 
@@ -212,7 +213,7 @@ def scene_with_target(**target):
         scene_with_target(pos=[0.0, 10.0], reflectivity=NAN),
         scene_with_target(pos=[0.0, 10.0], rcs=1.0),
         {"waveform": {"scs_hz": NAN}},
-        {"waveform": {"carrier_hz": NAN}},
+        {"waveform": {"fft_size": 2.5}},
         {"waveform": {"n_rb": 2.5}},
         {"waveform": {"n_symbols": 0}},
         {"waveform": {"seed": -3}},
@@ -241,9 +242,9 @@ def test_simulator_input_rejected(doc):
         {"run": {"score_radius_m": INF}},
         {"run": {"score_radius_m": 0.0}},
         {"run": {"score_radius_m": -1.0}},
-        {"run": {"mti_taps": "ab"}},
-        {"run": {"mti_taps": 5}},
-        {"run": {"mti_taps": [1.0, NAN]}},
+        {"run": {"score_radius_m": "ab"}},
+        {"run": {"n_sweeps": 0}},
+        {"run": {"n_range": 2.5}},
         {"run": {"n_sweeps": 2.5}},
         {"run": {"n_range": 0}},
         {"dbscan": {"min_pts": NAN}},
@@ -263,12 +264,12 @@ def test_simulator_input_edges_accepted():
             "targets": [{"pos": [0, 5], "vel": (1, 0), "reflectivity": 2}],
             "noise_power": 0, "leakage_amplitude": 0, "leakage_range_m": 0,
         },
-        "run": {"mti_taps": [1, -2, 1], "score_radius_m": 1e-3},
+        "run": {"score_radius_m": 1e-3},
         "dbscan": {"min_pts": 1},
     })
     target = cfg.scene.targets[0]
     assert target.pos == (0.0, 5.0) and target.vel == (1.0, 0.0)
-    assert cfg.run.mti_taps == (1.0, -2.0, 1.0)
+    assert cfg.run.score_radius_m == 1e-3
     # a single sweep starts at 0 whatever the period; the last of two
     # may start exactly at the tensor file's 1e12 s
     from_dict({"scene": {"sweep_period_s": 1e300}, "run": {"n_sweeps": 1}})
@@ -670,15 +671,20 @@ def test_cli_format_error_exit_code(tmp_path):
     ("simulate --config {cfg} --out {path}", "a_file"),
     ("e2e --config {cfg} --out {path}", "a_file"),
     ("report --in {path}", "missing_dir"),
+    ("simulate --config {path} --out {out}", "missing.yaml"),
+    ("track --tensors {tensors} --config {cfg} --out {out} --truth {path}",
+     "missing.csv"),
 ])
 def test_cli_io_error_exit_code(tmp_path, capsys, argv, target):
     # a missing or unreadable input or an unwritable output ends with
     # exit code 1 and a message naming the path, not a traceback
     (tmp_path / "a_directory").mkdir()
     (tmp_path / "a_file").write_text("")
+    (tmp_path / "in.ratn").write_bytes(MOVER)
     path = str(tmp_path / target)
     cfg = write_config(tmp_path, SMALL_CONFIG)
-    argv = argv.format(path=path, cfg=cfg, out=tmp_path / "out").split()
+    argv = argv.format(path=path, cfg=cfg, out=tmp_path / "out",
+                       tensors=tmp_path / "in.ratn").split()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("I/O error: ") and path in err
@@ -853,23 +859,6 @@ MUTATION = st.one_of(
 )
 
 
-@pytest.mark.parametrize("tap,code", [(1e17, 0), (3e17, 2), (1e300, 2)])
-def test_cli_mti_tap_overflow_exit_code(tmp_path, capsys, tap, code):
-    # from ~2e17 the MTI output at MOVER's 1e4 reflector overflows
-    # float32; the sweep is refused, not tracked with its hits dropped
-    (tmp_path / "in.ratn").write_bytes(MOVER)
-    capsys.readouterr()
-    assert main([
-        "track", "--tensors", str(tmp_path / "in.ratn"), "--config",
-        write_config(tmp_path, {"run": {"mti_taps": [tap, -tap]}}),
-        "--out", str(tmp_path / "out"),
-    ]) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code:
-        assert "sweep 1:" in err and "run.mti_taps" in err
-
-
 def csv_values_finite(path):
     for line in path.read_text().splitlines()[1:]:
         for cell in line.split(","):
@@ -880,6 +869,56 @@ def csv_values_finite(path):
             if not math.isfinite(value):
                 return False
     return True
+
+
+def test_cli_mti_output_stays_finite(tmp_path):
+    # the largest finite float32 power next to 0 or a subnormal, from
+    # sweep to sweep: the squared amplitude difference, CFAR's prefix
+    # sums and the centroids stay finite (any overflow warning fails)
+    top = np.finfo(np.float32).max
+    tensors = [small_tensor(k, shape=(64, 3, 3)) for k in range(5)]
+    for k, t in enumerate(tensors):
+        t.power[20:23] = top if k % 2 else 0.0
+        t.power[23, 1, 1] = 1e-45
+    (tmp_path / "in.ratn").write_bytes(write_file(tensors))
+    out = tmp_path / "out"
+    assert main([
+        "track", "--tensors", str(tmp_path / "in.ratn"),
+        "--config", write_config(tmp_path, {}), "--out", str(out),
+    ]) == 0
+    for name in ("detections.csv", "tracks.csv"):
+        assert csv_values_finite(out / name), name
+    rows = (out / "detections.csv").read_text().splitlines()[1:]
+    powers = [float(row.split(",")[3]) for row in rows]
+    assert sum(p > 1e38 for p in powers) == 4  # one per filtered sweep
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "mti_taps", [1.0, -1.0]),
+    ("waveform", "cp_len", 288),
+    ("waveform", "carrier_hz", 28e9),
+])
+def test_cli_removed_config_key_exit_code(tmp_path, capsys, section, key,
+                                          value):
+    # keys that no stage read are gone: a config that sets one is
+    # refused as an unknown key, not silently ignored
+    doc = {**SMALL_CONFIG, section: {**SMALL_CONFIG.get(section, {}),
+                                     key: value}}
+    assert main([
+        "simulate", "--config", write_config(tmp_path, doc),
+        "--out", str(tmp_path / "out"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and key in err
+
+
+def test_readme_example_config_loads():
+    # README's example config sets only keys the pipeline accepts
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("Example config:", 1)[1]
+    block = text.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = from_dict(yaml.safe_load(block))
+    assert cfg.run.n_sweeps == 50 and cfg.codebook.n_beam_pairs == 441
 
 
 @settings(max_examples=50, deadline=None)
@@ -952,11 +991,6 @@ CONFIG_SECTIONS = st.fixed_dictionaries({}, optional={
     "run": st.fixed_dictionaries({}, optional={
         "n_sweeps": WINDOW_INT,
         "n_range": WINDOW_INT,
-        "mti_taps": st.one_of(
-            st.lists(ANY_FLOAT, max_size=4),
-            ANY_FLOAT.map(lambda a: [a, -a]),
-            NOT_A_NUMBER,
-        ),
         "score_radius_m": st.one_of(ANY_FLOAT, NOT_A_NUMBER),
     }),
     "tracker": st.fixed_dictionaries({}, optional={

@@ -22,15 +22,16 @@ from oracles import (
     modulate,
 )
 
+CP_LEN = 16  # cyclic prefix, in samples, of the small-numerology frames
+
 
 def test_paper_numerology():
     cfg = WaveformConfig()
     assert cfg.n_rb == 275
     assert cfg.scs_hz == 120e3
-    assert cfg.carrier_hz == 28e9
     assert cfg.active_subcarriers == 3300
-    assert cfg.bandwidth_hz == pytest.approx(396e6)
-    assert cfg.bandwidth_hz <= 400e6
+    # occupied bandwidth: 396 MHz inside the 400 MHz FR2 channel
+    assert cfg.active_subcarriers * cfg.scs_hz == pytest.approx(396e6)
 
 
 def test_grid_shape_and_alphabet(wf_small):
@@ -60,7 +61,7 @@ def test_invalid_config_rejected():
     with pytest.raises(ConfigError):
         WaveformConfig(n_rb=275, fft_size=2048)  # 3300 > 2048
     with pytest.raises(ConfigError):
-        WaveformConfig(cp_len=-1)
+        WaveformConfig(seed=-1)
     with pytest.raises(ConfigError):
         WaveformConfig(scs_hz=0)
 
@@ -69,26 +70,24 @@ def test_zero_grid_modulates_to_zero(wf_small):
     grid = ResourceGrid(
         data=np.zeros((144, 4), dtype=complex), config=wf_small
     )
-    frame = modulate(grid)
+    frame = modulate(grid, CP_LEN)
     assert np.all(frame.samples == 0)
-    back = demodulate(frame, wf_small)
+    back = demodulate(frame, wf_small, CP_LEN)
     assert np.all(back.data == 0)
 
 
 def test_single_tone_constant_magnitude():
-    cfg = WaveformConfig(
-        n_rb=12, fft_size=256, cp_len=0, n_symbols=1, seed=0
-    )
+    cfg = WaveformConfig(n_rb=12, fft_size=256, n_symbols=1, seed=0)
     data = np.zeros((144, 1), dtype=complex)
     data[0, 0] = 1.0
-    frame = modulate(ResourceGrid(data=data, config=cfg))
+    frame = modulate(ResourceGrid(data=data, config=cfg), 0)
     mags = np.abs(frame.samples)
     assert np.allclose(mags, mags[0])
 
 
 def test_round_trip(wf_small):
     grid = build_grid(wf_small)
-    back = demodulate(modulate(grid), wf_small)
+    back = demodulate(modulate(grid, CP_LEN), wf_small, CP_LEN)
     assert np.max(np.abs(back.data - grid.data)) < 1e-9
 
 
@@ -99,18 +98,16 @@ def test_round_trip(wf_small):
     n_symbols=st.integers(1, 6),
 )
 def test_round_trip_property(seed, cp_len, n_symbols):
-    cfg = WaveformConfig(
-        n_rb=6, fft_size=128, cp_len=cp_len, n_symbols=n_symbols, seed=seed
-    )
+    cfg = WaveformConfig(n_rb=6, fft_size=128, n_symbols=n_symbols, seed=seed)
     grid = build_grid(cfg)
-    back = demodulate(modulate(grid), cfg)
+    back = demodulate(modulate(grid, cp_len), cfg, cp_len)
     assert np.max(np.abs(back.data - grid.data)) < 1e-9
 
 
 def test_parseval_no_cp():
-    cfg = WaveformConfig(n_rb=12, fft_size=256, cp_len=0, n_symbols=4, seed=1)
+    cfg = WaveformConfig(n_rb=12, fft_size=256, n_symbols=4, seed=1)
     grid = build_grid(cfg)
-    frame = modulate(grid)
+    frame = modulate(grid, 0)
     e_time = np.sum(np.abs(frame.samples) ** 2)
     e_grid = np.sum(np.abs(grid.data) ** 2)
     assert e_time == pytest.approx(e_grid, rel=1e-9)
@@ -121,11 +118,11 @@ def test_parseval_with_cp(wf_small):
     # frame energy = grid energy + energy of the copied segments;
     # the (1 + cp/N) form holds only in expectation for random payloads
     grid = build_grid(wf_small)
-    frame = modulate(grid)
+    frame = modulate(grid, CP_LEN)
     cfg = wf_small
-    sym_len = cfg.fft_size + cfg.cp_len
-    body = frame.samples.reshape(cfg.n_symbols, sym_len)[:, cfg.cp_len :]
-    cp = frame.samples.reshape(cfg.n_symbols, sym_len)[:, : cfg.cp_len]
+    sym_len = cfg.fft_size + CP_LEN
+    body = frame.samples.reshape(cfg.n_symbols, sym_len)[:, CP_LEN:]
+    cp = frame.samples.reshape(cfg.n_symbols, sym_len)[:, :CP_LEN]
     e_grid = np.sum(np.abs(grid.data) ** 2)
     assert np.sum(np.abs(body) ** 2) == pytest.approx(e_grid, rel=1e-9)
     e_time = np.sum(np.abs(frame.samples) ** 2)
@@ -133,7 +130,7 @@ def test_parseval_with_cp(wf_small):
         e_grid + np.sum(np.abs(cp) ** 2), rel=1e-12
     )
     assert e_time == pytest.approx(
-        e_grid * (1 + cfg.cp_len / cfg.fft_size), rel=0.2
+        e_grid * (1 + CP_LEN / cfg.fft_size), rel=0.2
     )
 
 
@@ -144,19 +141,19 @@ def test_cyclic_delay_phase_ramp(wf_small, boresight_codebook):
     # that the centred subcarrier map puts on bin 0
     cfg = wf_small
     grid = build_grid(cfg)
-    frame = modulate(grid)
+    frame = modulate(grid, CP_LEN)
     d = 5
-    sym_len = cfg.fft_size + cfg.cp_len
+    sym_len = cfg.fft_size + CP_LEN
     shifted = frame.samples.reshape(cfg.n_symbols, sym_len).copy()
     # cyclic shift within each symbol body (CP consistent with shift)
-    body = np.roll(shifted[:, cfg.cp_len :], d, axis=1)
-    shifted[:, cfg.cp_len :] = body
-    shifted[:, : cfg.cp_len] = body[:, -cfg.cp_len :]
+    body = np.roll(shifted[:, CP_LEN:], d, axis=1)
+    shifted[:, CP_LEN:] = body
+    shifted[:, :CP_LEN] = body[:, -CP_LEN:]
     back = demodulate(
         IqFrame(samples=shifted.reshape(-1), sample_rate_hz=frame.sample_rate_hz),
-        cfg,
+        cfg, CP_LEN,
     )
-    range_m = d * C_LIGHT / (2 * cfg.sample_rate_hz)
+    range_m = d * C_LIGHT / (2 * frame.sample_rate_hz)
     scene = SceneConfig(targets=(TargetTruth(pos=(0.0, range_m)),))
     h = ChannelPlan(
         scene, boresight_codebook, cfg.active_subcarriers, cfg.scs_hz
@@ -169,4 +166,4 @@ def test_cyclic_delay_phase_ramp(wf_small, boresight_codebook):
 def test_demodulate_length_mismatch(wf_small):
     frame = IqFrame(samples=np.zeros(10, dtype=complex), sample_rate_hz=1.0)
     with pytest.raises(FrameError):
-        demodulate(frame, wf_small)
+        demodulate(frame, wf_small, CP_LEN)
